@@ -1,17 +1,33 @@
-"""Sparse LDL^T factorization with fill-reducing ordering, plus the Takahashi
-recurrences for selected inversion.
+"""Band Cholesky factorization in reverse Cuthill-McKee order, plus the
+Takahashi recurrences for selected inversion.
 
-The factorization is the classic up-looking algorithm driven by the
-elimination tree; the factor pattern is exact (no dropping), which the
-selected-inverse recursion relies on.  Intended for the moderately sized,
-nearly 1-D systems arising from metric-graph meshes.
+The meshes of metric graphs are nearly 1-D, so reverse Cuthill-McKee (RCM)
+brings their matrices to a small bandwidth bw.  The permuted matrix
+P A P^T = G G^T is factored by LAPACK's band Cholesky (dpbtrf); G is lower
+triangular with the same bandwidth, and solves and sampling are LAPACK band
+triangular solves.
+
+Selected inversion runs the Takahashi recurrences (Takahashi, Fagan & Chen
+1973; Rue & Held 2005, sec. 2.4) for Z = (P A P^T)^{-1} over blocks of
+s >= bw columns.  On such blocks G is block lower-bidiagonal, so
+
+    Z_{k+1,k} = -Z_{k+1,k+1} G_{k+1,k} G_kk^{-1}
+    Z_kk      = G_kk^{-T} G_kk^{-1} - Z_{k+1,k}^T G_{k+1,k} G_kk^{-1}
+
+from the last block to the first.  That is O(n s^2) work in BLAS and
+O(n bw) memory, and gives every entry of Z within the band.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix, coo_matrix
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri, dtbtrs, dtrtrs
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+# Smallest column block of the selected-inverse sweep: below it the per-block
+# Python overhead outweighs the O(s^2) work saved per column.
+_MIN_BLOCK = 32
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -21,16 +37,16 @@ class NotSPDError(np.linalg.LinAlgError):
 
 
 class SparseCholesky:
-    """P A P^T = L D L^T with L unit lower triangular, D positive diagonal.
+    """P A P^T = G G^T with G lower triangular of bandwidth bw.
 
     Parameters
     ----------
     A : sparse matrix, symmetric positive definite
     order : "rcm" | "natural"
-        Fill-reducing permutation (reverse Cuthill-McKee by default).
+        Bandwidth-reducing permutation (reverse Cuthill-McKee by default).
     extra_pattern : optional (rows, cols) arrays
-        Structural zeros added to A's pattern before factorization; used to
-        force entries into the factor pattern for selected inversion.
+        Structural zeros added to A's pattern before ordering, so that the
+        pairs lie within the band and `inverse_entries` can return them.
     """
 
     def __init__(self, A, order: str = "rcm", extra_pattern=None):
@@ -58,166 +74,97 @@ class SparseCholesky:
         else:
             perm = np.arange(n)
         self.perm = perm
-        Ap = A[perm][:, perm].tocsc()
-        Ap.sort_indices()
-        self._factorize(Ap)
+        self._iperm = np.empty(n, dtype=np.int64)
+        self._iperm[perm] = np.arange(n)
 
-    # -- factorization ------------------------------------------------------
-
-    def _factorize(self, A: csc_matrix):
-        n = self.n
-        indptr, indices, data = A.indptr, A.indices, A.data
-        parent = np.full(n, -1, dtype=np.int64)
-        flag = np.full(n, -1, dtype=np.int64)
-        Lnz = np.zeros(n, dtype=np.int64)
-
-        # symbolic: elimination tree and column counts
-        for k in range(n):
-            flag[k] = k
-            for p in range(indptr[k], indptr[k + 1]):
-                i = indices[p]
-                if i < k:
-                    while flag[i] != k:
-                        if parent[i] == -1:
-                            parent[i] = k
-                        Lnz[i] += 1
-                        flag[i] = k
-                        i = parent[i]
-
-        Lp = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(Lnz, out=Lp[1:])
-        Li = np.zeros(Lp[n], dtype=np.int64)
-        Lx = np.zeros(Lp[n])
-        D = np.zeros(n)
-        Y = np.zeros(n)
-        pattern = np.zeros(n, dtype=np.int64)
-        lnz = np.zeros(n, dtype=np.int64)
-        flag[:] = -1
-
-        for k in range(n):
-            top = n
-            flag[k] = k
-            dk = 0.0
-            for p in range(indptr[k], indptr[k + 1]):
-                i = indices[p]
-                if i < k:
-                    Y[i] += data[p]
-                    length = 0
-                    while flag[i] != k:
-                        pattern[length] = i
-                        length += 1
-                        flag[i] = k
-                        i = parent[i]
-                    while length > 0:
-                        top -= 1
-                        length -= 1
-                        pattern[top] = pattern[length]
-                elif i == k:
-                    dk = data[p]
-            for t in range(top, n):
-                j = pattern[t]
-                yj = Y[j]
-                Y[j] = 0.0
-                p0, p1 = Lp[j], Lp[j] + lnz[j]
-                Y[Li[p0:p1]] -= Lx[p0:p1] * yj
-                lkj = yj / D[j]
-                dk -= lkj * yj
-                Li[p1] = k
-                Lx[p1] = lkj
-                lnz[j] += 1
-            if dk <= 0.0 or not np.isfinite(dk):
-                raise NotSPDError(k)
-            D[k] = dk
-
-        self.Lp, self.Li, self.Lx, self.D = Lp, Li, Lx, D
-        # row-major view of L for the selected-inverse sweep
-        Lcsr = csc_matrix((Lx, Li, Lp), shape=(n, n)).tocsr()
-        Lcsr.sort_indices()
-        self._row_ptr, self._row_idx = Lcsr.indptr, Lcsr.indices
+        co = A.tocoo()
+        co.sum_duplicates()
+        i, j = self._iperm[co.row], self._iperm[co.col]
+        self.bw = int(np.abs(i - j).max()) if co.nnz else 0
+        low = i >= j
+        ab = np.zeros((self.bw + 1, n), order="F")
+        ab[i[low] - j[low], j[low]] = co.data[low]  # LAPACK lower band storage
+        self._G, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotSPDError(info - 1)
+        bad = np.flatnonzero(~np.isfinite(self._G[0]))
+        if bad.size:
+            raise NotSPDError(int(bad[0]))
 
     # -- solves ---------------------------------------------------------------
 
-    def _forward(self, y):
-        Lp, Li, Lx = self.Lp, self.Li, self.Lx
-        for j in range(self.n):
-            p0, p1 = Lp[j], Lp[j + 1]
-            if p0 != p1:
-                y[Li[p0:p1]] -= np.multiply.outer(Lx[p0:p1], y[j]) if y.ndim > 1 \
-                    else Lx[p0:p1] * y[j]
-        return y
-
-    def _backward(self, y):
-        Lp, Li, Lx = self.Lp, self.Li, self.Lx
-        for j in range(self.n - 1, -1, -1):
-            p0, p1 = Lp[j], Lp[j + 1]
-            if p0 != p1:
-                y[j] -= Lx[p0:p1] @ y[Li[p0:p1]]
-        return y
+    def _unpermute(self, y):
+        out = np.empty_like(y)
+        out[self.perm] = y
+        return out
 
     def solve(self, b):
         """A^{-1} b for a vector or a dense matrix of right-hand sides."""
         b = np.asarray(b, dtype=float)
-        y = b[self.perm].copy()
-        self._forward(y)
-        if y.ndim > 1:
-            y /= self.D[:, None]
-        else:
-            y /= self.D
-        self._backward(y)
-        out = np.empty_like(y)
-        out[self.perm] = y
-        return out
+        x, _ = dpbtrs(self._G, b[self.perm], lower=1)
+        return self._unpermute(x)
 
     def sample_backsolve(self, z):
-        """x = P^T L^{-T} D^{-1/2} z, so that Cov(x) = A^{-1} for z ~ N(0, I)."""
-        z = np.asarray(z, dtype=float)
-        y = z / (np.sqrt(self.D)[:, None] if z.ndim > 1 else np.sqrt(self.D))
-        y = y.copy()
-        self._backward(y)
-        out = np.empty_like(y)
-        out[self.perm] = y
-        return out
+        """x = P^T G^{-T} z, so that Cov(x) = A^{-1} for z ~ N(0, I)."""
+        x, _ = dtbtrs(self._G, np.asarray(z, dtype=float), uplo="L", trans="T")
+        return self._unpermute(x)
 
     def logdet(self) -> float:
-        return float(np.sum(np.log(self.D)))
+        return 2.0 * float(np.sum(np.log(self._G[0])))
 
     # -- selected inversion (Takahashi equations) -----------------------------
 
-    def selected_inverse(self):
-        """Entries of A^{-1} on the factor pattern, as a dense matrix.
+    def selected_inverse(self) -> np.ndarray:
+        """The band of Z = (P A P^T)^{-1}, in the factor's band storage.
 
-        Off-pattern entries of the returned matrix are NOT computed (left
-        zero); the diagonal is always in the pattern.  Cost is proportional
-        to the factorization cost, not to a dense inversion.
+        Returns a (bw + 1, n) array whose entry [d, j] is Z[j + d, j] (zero
+        where j + d >= n); Z is symmetric, so this is every entry of Z with
+        |i - j| <= bw.  `inverse_entries` maps back to A's numbering.
         """
-        n = self.n
-        Lp, Li, Lx, D = self.Lp, self.Li, self.Lx, self.D
-        rp, ri = self._row_ptr, self._row_idx
-        Z = np.zeros((n, n))
-        for j in range(n - 1, -1, -1):
-            p0, p1 = Lp[j], Lp[j + 1]
-            rows = Li[p0:p1]
-            Z[j, j] = 1.0 / D[j] - Lx[p0:p1] @ Z[rows, j]
-            for i in ri[rp[j]:rp[j + 1]][::-1]:
-                if i >= j:
-                    continue
-                q0, q1 = Lp[i], Lp[i + 1]
-                v = -(Lx[q0:q1] @ Z[Li[q0:q1], j])
-                Z[i, j] = v
-                Z[j, i] = v
+        n, bw, G = self.n, self.bw, self._G
+        s = max(bw, _MIN_BLOCK)
+        a = np.arange(s)
+        # G[c0 + r + i, c0 + j] sits in band row r + i - j of column c0 + j,
+        # with r = 0 for the diagonal block and r = s for the one below it
+        d = a[:, None] - a
+        diag_row, diag_in = np.clip(d, 0, bw), (d >= 0) & (d <= bw)
+        sub_row, sub_in = np.clip(d + s, 0, bw), d + s <= bw
+        rows = a + np.arange(bw + 1)[:, None]  # Z[j + d, j] within a column block
+        Z = np.zeros((bw + 1, n))
+        Z_next = None  # Z_{k+1,k+1}
+        for c0 in range((n - 1) // s * s, -1, -s):
+            w = min(s, n - c0)       # width of this block
+            h = min(s, n - c0 - w)   # height of the block below it
+            cols = c0 + a[:w]
+            G_kk = np.where(diag_in[:w, :w], G[diag_row[:w, :w], cols], 0.0)
+            inv, _ = dpotri(G_kk, lower=1)  # lower triangle of G_kk^{-T} G_kk^{-1}
+            column = np.zeros((w + s, w))   # [Z_kk; Z_{k+1,k}; zero padding]
+            column[:w] = inv + np.tril(inv, -1).T
+            if h:
+                G_sub = np.where(sub_in[:h, :w], G[sub_row[:h, :w], cols], 0.0)
+                # W = G_{k+1,k} G_kk^{-1}, from G_kk^T W^T = G_{k+1,k}^T
+                Wt, _ = dtrtrs(G_kk, G_sub.T, lower=1, trans=1)
+                Z_sub = -Z_next @ Wt.T
+                M = Z_sub.T @ Wt.T
+                column[:w] -= 0.5 * (M + M.T)
+                column[w:w + h] = Z_sub
+            Z[:, c0:c0 + w] = column[rows[:, :w], a[:w]]
+            Z_next = column[:w]
         return Z
 
     def selected_inverse_diag(self) -> np.ndarray:
         """diag(A^{-1}) via the Takahashi recurrences."""
-        Z = self.selected_inverse()
-        out = np.empty(self.n)
-        out[self.perm] = np.diag(Z)
-        return out
+        return self._unpermute(self.selected_inverse()[0])
 
     def inverse_entries(self, rows, cols) -> np.ndarray:
-        """Selected entries of A^{-1}; requested pairs must lie in the factor
-        pattern (use extra_pattern at construction to force them in)."""
-        Z = self.selected_inverse()
-        inv = np.empty(self.n, dtype=np.int64)
-        inv[self.perm] = np.arange(self.n)
-        return Z[inv[np.asarray(rows)], inv[np.asarray(cols)]]
+        """Entries (rows[t], cols[t]) of A^{-1}, all from one selected
+        inversion.  Every pair must lie within the band: A's own pattern does,
+        and extra_pattern at construction forces further pairs in."""
+        i = self._iperm[np.asarray(rows)]
+        j = self._iperm[np.asarray(cols)]
+        d = np.abs(i - j)
+        if np.any(d > self.bw):
+            t = int(np.argmax(d > self.bw))
+            raise ValueError(f"entry ({np.asarray(rows)[t]}, {np.asarray(cols)[t]}) lies "
+                             f"outside the computed band (bandwidth {self.bw})")
+        return self.selected_inverse()[d, np.minimum(i, j)]

@@ -265,8 +265,12 @@ def _monomial_coeffs(y, fy, w):
 # -- partial fractions ------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def partial_fractions(approx: RationalApprox) -> PartialFractions:
     """Decompose r(1/lambda) = k + sum r_i/(lambda - p_i).
+
+    Memoized: both dataclasses are frozen, and `brasil` returns equal
+    approximations for equal arguments.
 
     Poles are found as bracketed sign changes of the barycentric denominator
     on the negative axis (they interlace the support-point magnitudes), which

@@ -37,6 +37,7 @@ class ObservationSet:
     points: list
     values: np.ndarray        # (n,) or (n, n_replicates)
     sigma_e: float
+    _basis: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -56,6 +57,20 @@ class ObservationSet:
         v = self.values
         return v[:, None] if v.ndim == 1 else v
 
+    def basis_matrix(self, mesh: Mesh):
+        """Observation matrix A[i, j] = psi_j(points[i]) on `mesh`, built once
+        per mesh."""
+        if self._basis[0] is not mesh:
+            self._basis = (mesh, mesh.basis_matrix(self.points))
+        return self._basis[1]
+
+    def with_sigma_e(self, sigma_e: float) -> "ObservationSet":
+        """The same observations under another noise level, sharing the
+        observation matrix built so far."""
+        out = ObservationSet(self.points, self.values, sigma_e)
+        out._basis = self._basis
+        return out
+
 
 @dataclass
 class PosteriorSummary:
@@ -67,7 +82,7 @@ class PosteriorSummary:
 
 
 def _stacked_system(model: FieldModel, obs: ObservationSet):
-    A = model.mesh.basis_matrix(obs.points)
+    A = obs.basis_matrix(model.mesh)
     K = model.n_blocks
     B = (A.T @ A) / obs.sigma_e**2
     Q = sparse.block_diag(model.precision_blocks(), format="csr")
@@ -85,24 +100,14 @@ def kriging(model: FieldModel, obs: ObservationSet,
     rhs = np.tile(rhs_block, (K, 1))
     variance = None
     if compute_variance:
-        if K == 1:
-            F = SparseCholesky(Qpost)
-            variance = F.selected_inverse_diag()
-        else:
-            # force the cross-block (i, i) pairs into the factor pattern so
-            # the selected inverse covers Var(u_i) = sum_{r,s} Z_{(r i),(s i)}
-            rows, cols = [], []
-            for r in range(K):
-                for s in range(r + 1, K):
-                    rows.append(np.arange(N) + r * N)
-                    cols.append(np.arange(N) + s * N)
-            F = SparseCholesky(Qpost, extra_pattern=(np.concatenate(rows),
-                                                     np.concatenate(cols)))
-            variance = np.zeros(N)
-            for r in range(K):
-                for s in range(K):
-                    i = np.arange(N)
-                    variance += F.inverse_entries(i + r * N, i + s * N)
+        # Var(u_i) = sum_{r,s} Z_{(r i),(s i)}: force the cross-block (i, i)
+        # pairs into the band and read all K^2 of them from one selected inverse
+        i = np.arange(N)
+        r, s = np.divmod(np.arange(K * K), K)
+        rows = (i + N * r[:, None]).ravel()
+        cols = (i + N * s[:, None]).ravel()
+        F = SparseCholesky(Qpost, extra_pattern=(rows, cols))
+        variance = F.inverse_entries(rows, cols).reshape(K * K, N).sum(axis=0)
     else:
         F = SparseCholesky(Qpost)
     sol = F.solve(rhs)
@@ -115,7 +120,7 @@ def kriging(model: FieldModel, obs: ObservationSet,
 def kriging_covariance_form(model: FieldModel, obs: ObservationSet) -> PosteriorSummary:
     """Covariance-form predictor Sigma A' (A Sigma A' + sigma^2 I)^{-1} y;
     the dense oracle route, algebraically equal to the GMRF form."""
-    A = model.mesh.basis_matrix(obs.points)
+    A = obs.basis_matrix(model.mesh)
     cols = model.covariance_columns(np.asarray(A.T.todense()))
     S_obs = np.asarray(A @ cols)
     S_obs = 0.5 * (S_obs + S_obs.T) + obs.sigma_e**2 * np.eye(obs.n)
@@ -315,6 +320,7 @@ def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
     names, x0_default = _collect_free(spec)
     x0 = x0_default if x0 is None else np.asarray(x0, float)
     evaluations = [0]
+    obs.basis_matrix(mesh)  # every evaluation's copy of obs shares it
 
     def objective(x, alpha):
         evaluations[0] += 1
@@ -323,8 +329,7 @@ def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
             else float(spec.sigma_e)
         try:
             model = _materialize(spec, mesh, alpha, theta)
-            o = ObservationSet(obs.points, obs.values, sigma_e)
-            ll, _ = log_likelihood(model, o, design=design)
+            ll, _ = log_likelihood(model, obs.with_sigma_e(sigma_e), design=design)
         except (np.linalg.LinAlgError, ValueError, OverflowError):
             return 1e12
         return -ll
@@ -356,8 +361,7 @@ def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
     sigma_e = math.exp(theta["log_sigma_e"]) if spec.sigma_e == "estimate" \
         else float(spec.sigma_e)
     model = _materialize(spec, mesh, alpha, theta)
-    ll, beta = log_likelihood(model, ObservationSet(obs.points, obs.values, sigma_e),
-                              design=design)
+    ll, beta = log_likelihood(model, obs.with_sigma_e(sigma_e), design=design)
     params = dict(theta)
     params["alpha"] = alpha
     params["sigma_e"] = sigma_e
@@ -385,7 +389,7 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     The prediction uses the covariance-form kriging identity (equal to the
     GMRF form) so each exclusion set only costs a dense solve of size n.
     """
-    A = model.mesh.basis_matrix(obs.points)
+    A = obs.basis_matrix(model.mesh)
     cols = model.covariance_columns(np.asarray(A.T.todense()))
     S = np.asarray(A @ cols)
     S = 0.5 * (S + S.T)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.sparse import diags
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from graphfield.assembly import lump_mass, assemble_mass
 from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
@@ -147,6 +149,23 @@ def test_sampling_deterministic(interval_mesh_65):
     assert np.array_equal(a, b)
     c = model.sample(3, seed=8)
     assert not np.array_equal(a, c)
+
+
+def test_sampling_matches_dense_rcm_cholesky():
+    """Draws are G^{-T} z per block, with G the Cholesky factor of the block
+    in reverse Cuthill-McKee order and z the block's Philox stream."""
+    mesh = build_mesh(tadpole_graph(), 0.05)
+    t = np.linspace(0.0, 1.0, mesh.N)
+    model = FieldModel.build(mesh, 1.4, 2.0 + np.sin(3 * t), 1.0 + 0.5 * t, m=3)
+    want = np.zeros((mesh.N, 4))
+    for i, Q in enumerate(model.precision_blocks()):
+        perm = reverse_cuthill_mckee(Q, symmetric_mode=True)
+        G = np.linalg.cholesky(Q.toarray()[perm][:, perm])
+        rng = np.random.Generator(np.random.Philox(key=np.array([11, i], dtype=np.uint64)))
+        want[perm] += solve_triangular(G, rng.standard_normal((mesh.N, 4)), lower=True,
+                                       trans="T")
+    got = model.sample(4, seed=11).T
+    assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
 
 def test_sampling_tau_scaling_exact(interval_mesh_65):
