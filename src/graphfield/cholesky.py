@@ -160,11 +160,12 @@ class SparseCholesky:
         """Entries (rows[t], cols[t]) of A^{-1}, all from one selected
         inversion.  Every pair must lie within the band: A's own pattern does,
         and extra_pattern at construction forces further pairs in."""
-        i = self._iperm[np.asarray(rows)]
-        j = self._iperm[np.asarray(cols)]
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        i, j = self._iperm[rows], self._iperm[cols]
         d = np.abs(i - j)
-        if np.any(d > self.bw):
-            t = int(np.argmax(d > self.bw))
-            raise ValueError(f"entry ({np.asarray(rows)[t]}, {np.asarray(cols)[t]}) lies "
-                             f"outside the computed band (bandwidth {self.bw})")
+        outside = np.flatnonzero(d > self.bw)
+        if outside.size:
+            t = outside[0]
+            raise ValueError(f"entry ({rows.flat[t]}, {cols.flat[t]}) lies outside the "
+                             f"computed band (bandwidth {self.bw})")
         return self.selected_inverse()[d, np.minimum(i, j)]
