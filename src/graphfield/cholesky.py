@@ -31,9 +31,13 @@ _MIN_BLOCK = 32
 
 
 class NotSPDError(np.linalg.LinAlgError):
-    def __init__(self, k):
-        super().__init__(f"matrix is not positive definite (pivot {k} <= 0)")
+    """Factorization failed at position `pivot_index` of the RCM ordering,
+    which is row `row` of the matrix as given."""
+
+    def __init__(self, k, row):
+        super().__init__(f"matrix is not positive definite (pivot {k} <= 0, row {row})")
         self.pivot_index = k
+        self.row = row
 
 
 class SparseCholesky:
@@ -42,14 +46,12 @@ class SparseCholesky:
     Parameters
     ----------
     A : sparse matrix, symmetric positive definite
-    order : "rcm" | "natural"
-        Bandwidth-reducing permutation (reverse Cuthill-McKee by default).
     extra_pattern : optional (rows, cols) arrays
         Structural zeros added to A's pattern before ordering, so that the
         pairs lie within the band and `inverse_entries` can return them.
     """
 
-    def __init__(self, A, order: str = "rcm", extra_pattern=None):
+    def __init__(self, A, extra_pattern=None):
         A = csr_matrix(A)
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
@@ -69,10 +71,7 @@ class SparseCholesky:
                 shape=A.shape,
             ).tocsr()  # sums duplicates, keeps structural zeros
         self.n = n
-        if order == "rcm" and n > 1:
-            perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
-        else:
-            perm = np.arange(n)
+        perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True)) if n else np.arange(0)
         self.perm = perm
         self._iperm = np.empty(n, dtype=np.int64)
         self._iperm[perm] = np.arange(n)
@@ -86,10 +85,10 @@ class SparseCholesky:
         ab[i[low] - j[low], j[low]] = co.data[low]  # LAPACK lower band storage
         self._G, info = dpbtrf(ab, lower=1, overwrite_ab=1)
         if info > 0:
-            raise NotSPDError(info - 1)
+            raise NotSPDError(info - 1, int(perm[info - 1]))
         bad = np.flatnonzero(~np.isfinite(self._G[0]))
         if bad.size:
-            raise NotSPDError(int(bad[0]))
+            raise NotSPDError(int(bad[0]), int(perm[bad[0]]))
 
     # -- solves ---------------------------------------------------------------
 

@@ -18,16 +18,18 @@ import time
 import numpy as np
 
 from . import __version__
-from .exprs import CoefficientExpression
-from .field import FieldModel, variance_stationary_model
-from .fractional import brasil, partial_fractions
+from .assembly import AssumptionError
+from .cholesky import NotSPDError
+from .exprs import CoefficientExpression, ExpressionError
+from .field import FieldError, FieldModel, variance_stationary_model
+from .fractional import ORDER_CAP, RationalError, brasil, partial_fractions
 from .graph import GraphError, GraphPoint, MetricGraph, builtin_graph, validate
 from .harness import (DEFAULT_CALIBRATION_C, error_grid, rate_experiment,
                       rates_table, write_records_csv, write_rates_csv)
-from .inference import (ModelSpec, ObservationSet, fit, kriging,
+from .inference import (InferenceError, ModelSpec, ObservationSet, fit, kriging,
                         leave_radius_out_cv, write_cv_csv)
 from .mesh import build_mesh
-from .oracle import MaternParams, exact_covariance
+from .oracle import exact_covariance
 
 FMT = "%.17g"
 
@@ -172,8 +174,7 @@ def cmd_rational(args):
 def _model_from_args(args, mesh):
     kappa = _coefficient(args.kappa_expr, mesh)
     tau = _coefficient(args.tau_expr, mesh)
-    return FieldModel.build(mesh, args.alpha, kappa, tau, m=args.m,
-                            calibration_c=args.c)
+    return FieldModel.build(mesh, args.alpha, kappa, tau, m=args.m)
 
 
 def cmd_simulate(args):
@@ -244,8 +245,7 @@ def cmd_convergence(args):
     else:
         levels = [float(x) for x in args.levels.split(",")]
     fits, records = rate_experiment(args.graph, alphas, levels, rho=args.rho,
-                                    calibration_c=args.c, h_ok=2.0**-args.hok_level,
-                                    threads=args.threads)
+                                    calibration_c=args.c, h_ok=2.0**-args.hok_level)
     write_rates_csv(fits, args.out)
     write_records_csv(records, args.out + ".errors.csv")
     _write_gnuplot_script(args.out + ".errors.csv", alphas)
@@ -277,7 +277,7 @@ def cmd_errorgrid(args):
     ms = [int(m) for m in args.ms.split(",")]
     rhos = [float(r) for r in args.rhos.split(",")]
     records = error_grid(args.graph, alphas, ms, rhos, h=2.0**-args.level,
-                         h_ok=2.0**-args.hok_level, threads=args.threads)
+                         h_ok=2.0**-args.hok_level)
     write_records_csv(records, args.out)
     _write_manifest(args.out, args, t0)
     print(f"wrote {len(records)} error records to {args.out}")
@@ -297,9 +297,7 @@ def cmd_krige(args):
     g = _load_graph(args.graph)
     mesh = build_mesh(g, args.h)
     obs = read_observations(args.obs, args.sigma_e)
-    model = FieldModel.build(mesh, args.alpha,
-                             _coefficient(args.kappa_expr, mesh),
-                             _coefficient(args.tau_expr, mesh), m=args.m)
+    model = _model_from_args(args, mesh)
     post = kriging(model, obs, compute_variance=args.variance)
     cols = {"posterior_mean": post.mean if post.mean.ndim == 1 else post.mean.mean(axis=1)}
     if post.variance is not None:
@@ -337,9 +335,7 @@ def cmd_cv(args):
     g = _load_graph(args.graph)
     mesh = build_mesh(g, args.h)
     obs = read_observations(args.obs, args.sigma_e)
-    model = FieldModel.build(mesh, args.alpha,
-                             _coefficient(args.kappa_expr, mesh),
-                             _coefficient(args.tau_expr, mesh), m=args.m)
+    model = _model_from_args(args, mesh)
     radii = [float(r) for r in args.radii.split(",")]
     records = leave_radius_out_cv(model, obs, radii)
     write_cv_csv(records, args.out)
@@ -358,21 +354,33 @@ def _add_model_args(p, need_tau=True):
     p.add_argument("--kappa-expr", default="1.0", help="kappa expression (x, y, edge, t)")
     if need_tau:
         p.add_argument("--tau-expr", default="1.0")
-    p.add_argument("--m", type=int, default=None, help="rational order (default: calibrated)")
-    p.add_argument("--c", type=float, default=1.0, help="calibration constant in the order rule")
+    p.add_argument("--m", type=int, default=None,
+                   help=f"rational order (default: calibrated; at most {ORDER_CAP})")
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that maps each option's dest to its flag, and (for the
+    top-level parser) each subcommand name to its parser, so that config
+    entries can be checked against them."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            self.options[action.dest] = action.option_strings[-1]
+        return action
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="graphfield",
         description="Whittle-Matern Gaussian fields on metric graphs",
     )
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("GRAPHFIELD_THREADS", "0")) or None,
-                    help="worker pool size for independent grid cells "
-                         "(default: GRAPHFIELD_THREADS or the logical core "
-                         "count; use 1 for a fully serial run)")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices
 
     p = sub.add_parser("graph", help="graph file utilities")
     p.add_argument("action", choices=["validate"])
@@ -479,32 +487,50 @@ def build_parser():
     return ap
 
 
+def _with_config(ap, argv, path):
+    """argv with the entries of the JSON config file at `path` inserted as
+    flags right after the subcommand name, so that explicit flags later on
+    the line override them.  Keys are option dests (`sigma_e` for
+    --sigma-e); true booleans become bare flags, false and null are left
+    out."""
+    try:
+        with open(path) as f:
+            cfg = json.load(f)
+    except (OSError, json.JSONDecodeError) as err:
+        raise CliError(f"cannot read config file: {err}") from None
+    if not isinstance(cfg, dict):
+        raise CliError("config file must hold a JSON object")
+    i = next((k for k, a in enumerate(argv) if a in ap.commands), None)
+    if i is None:
+        return argv  # argparse reports the missing subcommand
+    name = argv[i]
+    options = ap.commands[name].options
+    flags = []
+    for key, value in cfg.items():
+        if key not in options:
+            raise CliError(f"config key {key!r} is not an option of {name!r}")
+        if value is True:
+            flags.append(options[key])
+        elif value is not False and value is not None:
+            flags.append(f"{options[key]}={value}")
+    return argv[:i + 1] + flags + argv[i + 1:]
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # config precedence: explicit flags > config file > built-in defaults
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            with open(argv[i + 1]) as f:
-                cfg = json.load(f)
-        except (IndexError, OSError, json.JSONDecodeError) as err:
-            print(f"error: cannot read config file: {err}", file=sys.stderr)
-            return 2
-        del argv[i:i + 2]
-        ap.set_defaults(**cfg)
-        for sub_action in ap._subparsers._group_actions:
-            for sub in sub_action.choices.values():
-                sub.set_defaults(**cfg)
-                for action in sub._actions:
-                    if action.dest in cfg:
-                        action.required = False
-    args = ap.parse_args(argv)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
     try:
+        if known.config is not None:
+            argv = _with_config(ap, argv, known.config)
+        args = ap.parse_args(argv)
         return args.func(args)
-    except (CliError, GraphError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (CliError, GraphError, FileNotFoundError, json.JSONDecodeError, FieldError,
+            ExpressionError, AssumptionError, InferenceError, RationalError,
+            NotSPDError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,9 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from .assembly import operator_matrix, positive_coefficient, coefficient_at_nodes
-from .cholesky import SparseCholesky
-from .fractional import PartialFractions, brasil, calibrate_order, partial_fractions
+from .cholesky import NotSPDError, SparseCholesky
+from .fractional import (ORDER_CAP, PartialFractions, brasil, calibrate_order,
+                         partial_fractions)
 from .graph import GraphPoint
 from .mesh import Mesh
 
@@ -60,7 +61,8 @@ class FieldModel:
     def build(cls, mesh: Mesh, alpha: float, kappa, tau, m: int | None = None,
               calibration_c: float = 1.0) -> "FieldModel":
         """Construct a model; m defaults to the order calibrated from the mesh
-        width (integer alpha always bypasses the rational stage with m = 0)."""
+        width (integer alpha always bypasses the rational stage with m = 0).
+        An explicit m above ORDER_CAP is rejected."""
         if alpha <= 0.5:
             raise FieldError("smoothness alpha must exceed 1/2")
         if alpha > 3.0:
@@ -79,6 +81,8 @@ class FieldModel:
         if not integer:
             if m < 1:
                 raise FieldError("fractional alpha requires rational order m >= 1")
+            if m > ORDER_CAP:
+                raise FieldError(f"rational order m={m} exceeds the cap {ORDER_CAP}")
             b = 1.0 / float(np.min(kappa_nodes) ** 2)  # [0, b] covers spec(L_h^{-1})
             rational = partial_fractions(brasil(frac, m)).rescaled(b)
             if m >= 5:
@@ -137,13 +141,13 @@ class FieldModel:
 
     def block_factors(self) -> list[SparseCholesky]:
         if not self._factors:
-            from .cholesky import NotSPDError
             factors = []
             for i, Q in enumerate(self.precision_blocks()):
                 try:
                     factors.append(SparseCholesky(Q))
                 except NotSPDError as err:
-                    raise FieldError(f"precision block {i} not SPD: {err}") from err
+                    raise FieldError(f"precision block {i} not SPD: pivot "
+                                     f"{err.pivot_index} at mesh node {err.row}") from err
             self._factors = factors
         return self._factors
 
@@ -215,23 +219,16 @@ class FieldModel:
             out += F.solve(psi)
         return out
 
-    def marginal_variance(self, method: str = "auto") -> np.ndarray:
-        """diag(Sigma_u) = sum_i diag(Q_i^{-1}).
-
-        method "takahashi" uses selected inversion of each block factor;
-        "dense" inverts densely; "auto" picks dense below N=300.
-        """
-        if method == "auto":
-            method = "dense" if self.N < 300 else "takahashi"
-        if method == "dense":
-            return np.diag(self.covariance_from_blocks()).copy()
+    def marginal_variance(self) -> np.ndarray:
+        """diag(Sigma_u) = sum_i diag(Q_i^{-1}), by selected inversion of
+        each block factor."""
         out = np.zeros(self.N)
         for F in self.block_factors():
             out += F.selected_inverse_diag()
         return out
 
-    def marginal_std(self, method: str = "auto") -> np.ndarray:
-        return np.sqrt(self.marginal_variance(method))
+    def marginal_std(self) -> np.ndarray:
+        return np.sqrt(self.marginal_variance())
 
     # -- sampling ------------------------------------------------------------------
 

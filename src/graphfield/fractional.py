@@ -323,6 +323,10 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
         residues=tuple(r1), poles=tuple(p1), k=float(k1),
         alpha_frac=approx.alpha_frac, interval=1.0,
     ).rescaled(approx.interval)
+    # an overflowing residue is +inf and would pass the sign check below
+    if not np.all(np.isfinite([pf.k, *pf.residues, *pf.poles])):
+        raise RationalError(f"decomposition not finite: a residue, pole or k "
+                            f"is inf or nan (m={m})")
     if not (pf.k > 0 and all(r > 0 for r in pf.residues) and all(p < 0 for p in pf.poles)):
         raise RationalError("decomposition not a covariance: sign constraint violated")
     return pf
@@ -330,10 +334,16 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
 
 # -- order calibration ------------------------------------------------------------
 
+# Largest rational order a model may use: above it the partial-fraction
+# residues leave double precision at small fractional parts ({alpha} ~ 1/8)
+# and the minimax solve itself breaks down.
+ORDER_CAP = 16
+
 
 def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
     """Rational order balancing FEM and rational error terms:
-    m = c * ceil((min{2a - 1/2, 2} + 1/2)^2 log^2(h) / (4 pi^2 {a})), natural log.
+    m = c * ceil((min{2a - 1/2, 2} + 1/2)^2 log^2(h) / (4 pi^2 {a})), natural log,
+    capped at ORDER_CAP.
 
     Integer alpha returns 0 (the rational stage is bypassed).
     """
@@ -346,4 +356,4 @@ def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
         raise ValueError("order calibration assumes a mesh width h in (0, 1)")
     rate = min(2 * alpha - 0.5, 2.0)
     x = (rate + 0.5) ** 2 * math.log(h) ** 2 / (4 * math.pi**2 * frac)
-    return max(1, int(math.ceil(c * math.ceil(x - 1e-12))))
+    return min(ORDER_CAP, max(1, int(math.ceil(c * math.ceil(x - 1e-12)))))

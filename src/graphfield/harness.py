@@ -16,14 +16,12 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assembly import assemble_mass, lump_mass
 from .field import FieldModel
-from .fractional import calibrate_order
 from .graph import builtin_graph
 from .mesh import build_mesh
 from .oracle import MaternParams, exact_covariance
@@ -32,10 +30,8 @@ THEORETICAL_RATE = lambda alpha: min(2 * alpha - 0.5, 2.0)  # noqa: E731
 
 # Eq.-(7) constant used by the rate experiments: c=1 leaves the rational term
 # non-negligible at the coarse levels for alpha near 3/4, polluting the fitted
-# slope; 1.5 puts it safely below the FEM error.  The cap guards the
-# double-precision limit of the partial-fraction residues at {alpha} ~ 1/8.
+# slope; 1.5 puts it safely below the FEM error.
 DEFAULT_CALIBRATION_C = 1.5
-ORDER_CAP = 16
 
 
 class OracleTruncationError(RuntimeError):
@@ -99,7 +95,7 @@ def _reference(kind: str, alpha: float, rho: float, h_ok: float):
     p = MaternParams.unit_variance(alpha, rho)
     sigma = exact_covariance(name, pts, alpha, p.kappa, p.tau, L)
     _check_truncation(name, pts, alpha, p, L, sigma)
-    return g, fine, pts, w, p, sigma
+    return g, pts, w, p, sigma
 
 
 def _check_truncation(name, pts, alpha, p, L, sigma):
@@ -126,7 +122,7 @@ def _check_truncation(name, pts, alpha, p, L, sigma):
         raise OracleTruncationError(f"oracle wrap truncation {tail:.2e} too large")
 
 
-def _coarse_error(g, mesh, model, pts, w, sigma_exact):
+def _coarse_error(mesh, model, pts, w, sigma_exact):
     t0 = time.time()
     S = model.covariance()
     A = mesh.basis_matrix(pts)
@@ -138,7 +134,7 @@ def _coarse_error(g, mesh, model, pts, w, sigma_exact):
 
 def rate_experiment(kind: str, alphas, levels=(4.5, 4.75, 5.0, 5.25, 5.5),
                     rho: float = 0.5, calibration_c: float = DEFAULT_CALIBRATION_C,
-                    h_ok: float = 2.0**-9, threads: int = 1):
+                    h_ok: float = 2.0**-9):
     """Fit empirical convergence rates against the exact covariance oracle.
 
     Returns (fits, records): one RateFit per alpha (slope of log L2 error
@@ -147,71 +143,42 @@ def rate_experiment(kind: str, alphas, levels=(4.5, 4.75, 5.0, 5.25, 5.5),
     records: list[ErrorRecord] = []
     fits: list[RateFit] = []
     name = kind.partition(":")[0]
-
-    def run_alpha(alpha):
-        g, fine, pts, w, p, sigma = _reference(kind, alpha, rho, h_ok)
+    for alpha in alphas:
+        g, pts, w, p, sigma = _reference(kind, alpha, rho, h_ok)
         recs = []
         for lev in levels:
             mesh = build_mesh(g, 2.0**-lev)
-            m = _calibrated_order(alpha, mesh.h, calibration_c)
-            model = FieldModel.build(mesh, alpha, p.kappa, p.tau, m=m)
-            l2, sup, secs = _coarse_error(g, mesh, model, pts, w, sigma)
+            model = FieldModel.build(mesh, alpha, p.kappa, p.tau,
+                                     calibration_c=calibration_c)
+            l2, sup, secs = _coarse_error(mesh, model, pts, w, sigma)
             recs.append(ErrorRecord(name, alpha, rho, model.m, mesh.h, l2, sup, secs))
         hs = np.array([r.h for r in recs])
         errs = np.array([r.l2 for r in recs])
         if len(hs) < 4:
             raise ValueError("rate fit needs at least 4 mesh levels")
         coef, res = np.polyfit(np.log(hs), np.log(errs), 1, full=True)[:2]
-        fit = RateFit(name, alpha, float(coef[0]), float(coef[1]),
-                      float(res[0]) if len(res) else 0.0,
-                      THEORETICAL_RATE(alpha), len(hs))
-        return fit, recs
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_alpha, alphas))
-    else:
-        results = [run_alpha(a) for a in alphas]
-    for fit, recs in results:
-        fits.append(fit)
+        fits.append(RateFit(name, alpha, float(coef[0]), float(coef[1]),
+                            float(res[0]) if len(res) else 0.0,
+                            THEORETICAL_RATE(alpha), len(hs)))
         records.extend(recs)
     return fits, records
 
 
-def _calibrated_order(alpha, h, c):
-    if abs(alpha - round(alpha)) < 1e-12:
-        return None
-    return min(ORDER_CAP, calibrate_order(alpha, h, c))
-
-
 def error_grid(kind: str, alphas, ms=(1, 2, 3, 4, 5), rhos=(0.1, 0.5, 1.0, 2.0),
-               h: float = 2.0**-6, h_ok: float = 2.0**-9, threads: int = 1):
+               h: float = 2.0**-6, h_ok: float = 2.0**-9):
     """Error sweep over (alpha, m, rho) at fixed mesh width, against the exact
-    oracle on the h_ok reference mesh."""
+    oracle on the h_ok reference mesh.  Integer alpha has no rational stage,
+    so its rows repeat one model under each m."""
     name = kind.partition(":")[0]
     records: list[ErrorRecord] = []
-
-    def run_cell(cell):
-        alpha, rho = cell
-        g, fine, pts, w, p, sigma = _reference(kind, alpha, rho, h_ok)
-        mesh = build_mesh(g, h)
-        out = []
-        for m in ms:
-            integer = abs(alpha - round(alpha)) < 1e-12
-            model = FieldModel.build(mesh, alpha, p.kappa, p.tau,
-                                     m=None if integer else m)
-            l2, sup, secs = _coarse_error(g, mesh, model, pts, w, sigma)
-            out.append(ErrorRecord(name, alpha, rho, m, mesh.h, l2, sup, secs))
-        return out
-
-    cells = [(a, r) for a in alphas for r in rhos]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    for out in results:
-        records.extend(out)
+    for alpha in alphas:
+        for rho in rhos:
+            g, pts, w, p, sigma = _reference(kind, alpha, rho, h_ok)
+            mesh = build_mesh(g, h)
+            for m in ms:
+                model = FieldModel.build(mesh, alpha, p.kappa, p.tau, m=m)
+                l2, sup, secs = _coarse_error(mesh, model, pts, w, sigma)
+                records.append(ErrorRecord(name, alpha, rho, m, mesh.h, l2, sup, secs))
     return records
 
 

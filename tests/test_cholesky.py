@@ -81,7 +81,7 @@ def test_non_finite_pivot_raises(bad):
     A = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
     A[1, 1] = bad
     with pytest.raises(NotSPDError) as err:
-        SparseCholesky(sparse.csr_matrix(A), order="natural")
+        SparseCholesky(sparse.csr_matrix(A))
     assert err.value.pivot_index == 1
 
 
@@ -94,13 +94,6 @@ def test_sampling_backsolve_covariance():
     X = F.sample_backsolve(Z)
     emp = X @ X.T / Z.shape[1]
     assert np.abs(emp - np.linalg.inv(A.toarray())).max() < 5e-3
-
-
-def test_natural_ordering():
-    A = sparse.diags([2.0] * 5) + sparse.diags([-0.9] * 4, 1) + sparse.diags([-0.9] * 4, -1)
-    F = SparseCholesky(sparse.csr_matrix(A), order="natural")
-    assert np.array_equal(F.perm, np.arange(5))
-    assert np.allclose(F.solve(np.ones(5)), np.linalg.solve(A.toarray(), np.ones(5)))
 
 
 @st.composite
@@ -143,5 +136,7 @@ def test_factor_properties_on_random_graphs(A, flip):
         SparseCholesky(B.tocsr())
     k = int(np.flatnonzero(F.perm == j)[0])
     assert err.value.pivot_index == k
+    assert err.value.row == j
+    assert f"row {j})" in str(err.value)
     _, info = dpotrf(B.toarray()[F.perm][:, F.perm], lower=1)
     assert info - 1 == k

@@ -228,3 +228,32 @@ def test_errorgrid_command(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0][0] == "graph"
     assert len(rows) == 5  # header + 2 alphas x 2 ms
+
+
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h": 0.25, "sigma_e": 0.1}))
+    assert run(["--config", str(cfg), "mesh", "tadpole"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'sigma_e'" in err and "'mesh'" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "interval:1", "--alpha", "0.75", "--kappa-expr", "z+1"], "unknown name 'z'"),
+    (["simulate", "interval:1", "--alpha", "0.4"], "alpha must exceed 1/2"),
+    (["simulate", "interval:1", "--alpha", "0.75", "--kappa-expr", "0-1"],
+     "kappa must be bounded below"),
+    (["simulate", "interval:1", "--alpha", "0.75", "--m", "17"], "exceeds the cap 16"),
+    (["krige", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "0"],
+     "sigma_e must be positive"),
+    (["rational", "--alpha", "1.0", "--m", "3"], "fractional exponent"),
+])
+def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("0,0.5,1.0\n")
+    argv = [str(obs) if a == "OBS" else a for a in argv]
+    if argv[0] != "rational":
+        argv += ["--h", "0.1", "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

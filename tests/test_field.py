@@ -7,6 +7,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from graphfield.assembly import lump_mass, assemble_mass
 from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
                               variance_stationary_model)
+from graphfield.fractional import ORDER_CAP
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
 from graphfield.mesh import build_mesh
 from graphfield.oracle import spectral_discrete_cov
@@ -115,8 +116,8 @@ def test_covariance_row(interval_mesh_65):
 
 def test_marginal_std_takahashi_matches_dense(interval_mesh_65):
     model = FieldModel.build(interval_mesh_65, 0.75, 2.0, 1.0, m=3)
-    d_tak = model.marginal_variance(method="takahashi")
-    d_dense = model.marginal_variance(method="dense")
+    d_tak = model.marginal_variance()
+    d_dense = np.diag(model.covariance_from_blocks())
     assert np.abs(d_tak - d_dense).max() < 1e-9
     assert np.all(d_tak > 0)
 
@@ -248,3 +249,12 @@ def test_covariance_psd(interval_mesh_65):
 def test_fractional_requires_positive_m(interval_mesh_65):
     with pytest.raises(FieldError):
         FieldModel.build(interval_mesh_65, 0.75, 2.0, 1.0, m=0)
+
+
+def test_order_above_cap_rejected_before_minimax(interval_mesh_65, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("minimax solve reached")
+
+    monkeypatch.setattr("graphfield.field.brasil", no_solve)
+    with pytest.raises(FieldError, match=f"cap {ORDER_CAP}"):
+        FieldModel.build(interval_mesh_65, 0.75, 2.0, 1.0, m=ORDER_CAP + 1)

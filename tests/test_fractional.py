@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from graphfield.fractional import (NonConvergenceError, RationalError, brasil,
-                                   calibrate_order, partial_fractions)
+from graphfield.fractional import (ORDER_CAP, NonConvergenceError, RationalError,
+                                   brasil, calibrate_order, partial_fractions)
 
 
 def dense_sup_error(approx, n=100_000):
@@ -147,6 +147,20 @@ def test_calibrate_order_errors():
 def test_calibration_constant_scales():
     base = calibrate_order(0.75, 2.0**-5, 1.0)
     assert calibrate_order(0.75, 2.0**-5, 2.0) == 2 * base
+
+
+def test_calibrate_order_capped():
+    # uncapped, these ask for m = 21 and m = 60
+    assert calibrate_order(1.05, 0.05) == ORDER_CAP
+    assert calibrate_order(1.125, 2**-9, 1.5) == ORDER_CAP
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_partial_fractions_reject_non_finite():
+    # on [0, 1e-320] the rescaled residue b^(a-1) r overflows to +inf, which
+    # the sign check alone lets through
+    with pytest.raises(RationalError, match="not finite"):
+        partial_fractions(brasil(0.05, 1, b=1e-320))
 
 
 def test_high_order_small_fraction():

@@ -102,15 +102,6 @@ def test_rate_requires_four_levels():
         rate_experiment("interval", [1.0], levels=(4.0, 5.0), h_ok=2.0**-7)
 
 
-def test_threaded_matches_serial():
-    serial, _ = rate_experiment("interval", [1.0, 1.5], levels=(4.0, 4.5, 5.0, 5.5),
-                                h_ok=2.0**-7, threads=1)
-    threaded, _ = rate_experiment("interval", [1.0, 1.5], levels=(4.0, 4.5, 5.0, 5.5),
-                                  h_ok=2.0**-7, threads=2)
-    for a, b in zip(serial, threaded):
-        assert a.slope == b.slope
-
-
 def test_csv_writers(tmp_path):
     fits, records = rate_experiment("interval", [1.0], levels=(4.0, 4.5, 5.0, 5.5),
                                     h_ok=2.0**-7)
