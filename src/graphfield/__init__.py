@@ -13,8 +13,7 @@ from .graph import (GraphError, GraphPoint, MetricGraph, builtin_graph,
                     circle_graph, interval_graph, practical_range, star_graph,
                     tadpole_graph, validate)
 from .mesh import Mesh, build_mesh
-from .assembly import (assemble_kappa_mass, assemble_mass, assemble_stiffness,
-                       lump_mass, operator_matrix)
+from .assembly import assemble_mass, assemble_stiffness, lump_mass, operator_matrix
 from .fractional import (PartialFractions, RationalApprox, brasil,
                          calibrate_order, partial_fractions)
 from .field import FieldModel, log_regression_coefficients, variance_stationary_model

@@ -9,7 +9,7 @@ vertex and performing no boundary elimination.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .mesh import Mesh
 
@@ -18,48 +18,34 @@ class AssumptionError(ValueError):
     """Coefficient function violates the positivity assumption."""
 
 
-def _from_accumulator(acc: dict, n: int) -> csr_matrix:
-    """Build an exactly symmetric CSR from {(i<=j): value} accumulation."""
-    rows, cols, vals = [], [], []
-    for (i, j), v in acc.items():
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            vals.append(v)
-    m = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    m.sum_duplicates()
-    return m
+def _assemble(mesh: Mesh, diag: np.ndarray, off: np.ndarray) -> csr_matrix:
+    """Symmetric CSR from per-segment element matrices [[diag, off], [off, diag]].
 
-
-def _scatter(mesh: Mesh, local) -> csr_matrix:
-    acc: dict = {}
-    for i, j, h in mesh.segments():
-        e = local(h)
-        for a, ga in ((0, i), (1, j)):
-            for b, gb in ((0, i), (1, j)):
-                if ga > gb:
-                    continue  # accumulate one triangle; mirrored on emit
-                key = (ga, gb)
-                acc[key] = acc.get(key, 0.0) + e[a][b]
-    return _from_accumulator(acc, mesh.N)
+    Each diagonal entry sums its segments' terms in segment order.  An
+    off-diagonal pair belongs to one segment, or to both segments of a
+    2-segment self-loop, whose two-term sum does not depend on order.
+    """
+    n = mesh.N
+    d = np.bincount(mesh.seg_nodes.ravel(), weights=np.repeat(diag, 2), minlength=n)
+    i, j = mesh.seg_nodes.T
+    rows = np.concatenate((np.arange(n), i, j))
+    cols = np.concatenate((np.arange(n), j, i))
+    return csr_matrix((np.concatenate((d, off, off)), (rows, cols)), shape=(n, n))
 
 
 def assemble_mass(mesh: Mesh) -> csr_matrix:
     """Consistent mass matrix C with C_ij = (psi_i, psi_j).  Cached per mesh."""
     if "mass" not in mesh.matrix_cache:
-        mesh.matrix_cache["mass"] = _scatter(
-            mesh, lambda h: ((h / 3.0, h / 6.0), (h / 6.0, h / 3.0)))
+        h = mesh.seg_h
+        mesh.matrix_cache["mass"] = _assemble(mesh, h / 3.0, h / 6.0)
     return mesh.matrix_cache["mass"]
 
 
 def assemble_stiffness(mesh: Mesh) -> csr_matrix:
     """Stiffness matrix G with G_ij = (psi_i', psi_j'); G @ 1 = 0.  Cached."""
     if "stiffness" not in mesh.matrix_cache:
-        mesh.matrix_cache["stiffness"] = _scatter(
-            mesh, lambda h: ((1.0 / h, -1.0 / h), (-1.0 / h, 1.0 / h)))
+        h = mesh.seg_h
+        mesh.matrix_cache["stiffness"] = _assemble(mesh, 1.0 / h, -1.0 / h)
     return mesh.matrix_cache["stiffness"]
 
 
@@ -103,42 +89,13 @@ def kappa_mass_diagonal(mesh: Mesh, kappa) -> np.ndarray:
     return k**2 * lump_mass(assemble_mass(mesh))
 
 
-def assemble_kappa_mass(mesh: Mesh, kappa) -> csr_matrix:
-    """Consistent C^kappa with entries (kappa^2 psi_i, psi_j).
-
-    kappa^2 is integrated per segment by 2-point Gauss quadrature with kappa
-    linearly interpolated from its nodal values; validation path only.
-    """
-    k = positive_coefficient(mesh, kappa, "kappa")
-    gp = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-    acc: dict = {}
-    for i, j, h in mesh.segments():
-        for t in gp:
-            k2 = (k[i] * (1 - t) + k[j] * t) ** 2
-            phi = (1 - t, t)
-            for a, ga in ((0, i), (1, j)):
-                for b, gb in ((0, i), (1, j)):
-                    if ga > gb:
-                        continue
-                    key = (ga, gb)
-                    acc[key] = acc.get(key, 0.0) + 0.5 * h * k2 * phi[a] * phi[b]
-    return _from_accumulator(acc, mesh.N)
-
-
-def operator_matrix(mesh: Mesh, kappa, lumped: bool = True):
-    """Discrete operator L and the mass used with it.
-
-    Default (lumped) path: L = G + diag(kappa^2) Ctilde with Ctilde the lumped
-    mass; returns (L, Ctilde diagonal as 1-D array).  Consistent path:
-    L = G + C^kappa; returns (L, C) with C the consistent mass matrix.
-    """
+def operator_matrix(mesh: Mesh, kappa):
+    """Discrete operator L = G + diag(kappa^2) Ctilde with Ctilde the lumped
+    mass; returns (L, Ctilde diagonal as 1-D array)."""
     G = assemble_stiffness(mesh)
-    if lumped:
-        d = kappa_mass_diagonal(mesh, kappa)
-        L = G + csr_matrix((d, (range(mesh.N), range(mesh.N))), shape=G.shape)
-        return L.tocsr(), lump_mass(assemble_mass(mesh))
-    L = G + assemble_kappa_mass(mesh, kappa)
-    return L.tocsr(), assemble_mass(mesh)
+    d = kappa_mass_diagonal(mesh, kappa)
+    L = G + csr_matrix((d, (range(mesh.N), range(mesh.N))), shape=G.shape)
+    return L.tocsr(), lump_mass(assemble_mass(mesh))
 
 
 def dump_coordinate_format(matrix, path):

@@ -77,12 +77,14 @@ def _write_manifest(out_path, args, t0, extra=None):
 
 
 def _write_node_csv(path, mesh, columns: dict):
-    pts = mesh.node_points()
+    """Node table: node, edge, t, then one column per entry of `columns`."""
+    rows = np.array(list(columns.values()), dtype=float).reshape(len(columns), mesh.N).T
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["node", "edge", "t", *columns.keys()])
-        for i, p in enumerate(pts):
-            w.writerow([i, p.edge, FMT % p.t, *(FMT % col[i] for col in columns.values())])
+        for i, (e, t, row) in enumerate(zip(mesh.node_edge.tolist(), mesh.node_t.tolist(),
+                                            rows.tolist())):
+            w.writerow([i, e, FMT % t, *(FMT % v for v in row)])
 
 
 def read_observations(path, sigma_e) -> ObservationSet:
@@ -183,12 +185,7 @@ def cmd_simulate(args):
     mesh = build_mesh(g, args.h)
     model = _model_from_args(args, mesh)
     samples = model.sample(args.n, args.seed)
-    pts = mesh.node_points()
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node", "edge", "t", *(f"sample{i}" for i in range(args.n))])
-        for i, p in enumerate(pts):
-            w.writerow([i, p.edge, FMT % p.t, *(FMT % v for v in samples[:, i])])
+    _write_node_csv(args.out, mesh, {f"sample{i}": s for i, s in enumerate(samples)})
     _write_manifest(args.out, args, t0, {"N_h": mesh.N, "m": model.m})
     print(f"wrote {args.n} samples at {mesh.N} nodes to {args.out}")
     return 0
@@ -396,7 +393,7 @@ def build_parser():
     p = sub.add_parser("rational", help="minimax rational approximation of x^{alpha}")
     p.add_argument("--alpha", type=float, required=True,
                    help="fractional exponent in (0,1), or alpha>1 whose fractional part is used")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"rational order, at most {ORDER_CAP}")
     p.add_argument("--b", type=float, default=1.0, help="right endpoint of the interval")
     p.set_defaults(func=cmd_rational)
 

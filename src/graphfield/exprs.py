@@ -1,6 +1,7 @@
 """Tiny safe expression language for coefficient functions on a graph.
 
-Grammar (evaluated per mesh node):
+Grammar (evaluated over all mesh nodes at once; the value must be finite at
+every node):
 
     expr   := arithmetic over numbers and the variables
               x, y   - planar coordinates of the node (requires geometry)
@@ -18,11 +19,13 @@ from __future__ import annotations
 import ast
 import math
 
+import numpy as np
+
 _FUNCS = {
-    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
-    "tan": math.tan, "sqrt": math.sqrt, "abs": abs, "tanh": math.tanh,
+    "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+    "tan": np.tan, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
 }
-_CONSTS = {"pi": math.pi, "e": math.e}
+_CONSTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
 _VARS = ("x", "y", "edge", "t")
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -54,6 +57,10 @@ class CoefficientExpression:
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)):
                 raise ExpressionError(f"literal {node.value!r} not allowed")
+            try:
+                float(node.value)
+            except OverflowError:
+                raise ExpressionError("integer literal too large for a float") from None
             return
         if isinstance(node, ast.Name):
             if node.id not in _VARS and node.id not in _CONSTS:
@@ -77,7 +84,7 @@ class CoefficientExpression:
 
     def _eval(self, node, env):
         if isinstance(node, ast.Constant):
-            return float(node.value)
+            return np.float64(node.value)
         if isinstance(node, ast.Name):
             return env[node.id] if node.id in env else _CONSTS[node.id]
         if isinstance(node, ast.BinOp):
@@ -100,17 +107,16 @@ class CoefficientExpression:
         raise ExpressionError("unreachable")
 
     def node_values(self, mesh):
-        """Evaluate at every mesh node."""
-        import numpy as np
-        pts = mesh.node_points()
+        """Evaluate at every mesh node; raises if any value is not finite."""
+        env = {"edge": mesh.node_edge.astype(float), "t": mesh.node_t}
         if self.uses_xy:
-            xy = mesh.node_xy()
-        out = np.empty(mesh.N)
-        for i, p in enumerate(pts):
-            env = {"edge": float(p.edge), "t": float(p.t)}
-            if self.uses_xy:
-                env["x"], env["y"] = float(xy[i, 0]), float(xy[i, 1])
-            else:
-                env["x"] = env["y"] = 0.0
-            out[i] = self._eval(self._tree.body, env)
+            env["x"], env["y"] = mesh.node_xy().T
+        with np.errstate(all="ignore"):
+            out = np.broadcast_to(self._eval(self._tree.body, env), mesh.N).astype(float)
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = bad[0]
+            raise ExpressionError(
+                f"{self.text!r} is not finite at node {i} "
+                f"(edge {mesh.node_edge[i]}, t={mesh.node_t[i]:.17g}): {out[i]}")
         return out

@@ -70,7 +70,7 @@ class FieldModel:
             raise FieldError("alpha > 3 not supported")
         kappa_nodes = positive_coefficient(mesh, kappa, "kappa")
         tau_nodes = positive_coefficient(mesh, tau, "tau")
-        L, c_diag = operator_matrix(mesh, kappa_nodes, lumped=True)
+        L, c_diag = operator_matrix(mesh, kappa_nodes)
         frac = alpha - math.floor(alpha)
         integer = frac < 1e-12 or frac > 1 - 1e-12
         if integer:

@@ -199,9 +199,16 @@ def _brasil_canonical(alpha_frac: float, m: int, tol_ratio: float, maxiter: int)
     return best
 
 
+# Largest rational order brasil accepts: above it the partial-fraction
+# residues leave double precision at small fractional parts ({alpha} ~ 1/8)
+# and the minimax solve itself breaks down.
+ORDER_CAP = 16
+
+
 def brasil(alpha_frac: float, m: int, b: float = 1.0, tol_ratio: float = 0.9999,
            maxiter: int = 1000) -> RationalApprox:
-    """Best L_inf rational approximation of x^alpha_frac on [0, b], type (m, m).
+    """Best L_inf rational approximation of x^alpha_frac on [0, b], type (m, m),
+    for 1 <= m <= ORDER_CAP.
 
     Raises NonConvergenceError (carrying the last iterate and its deviation
     ratio) if the equilibration cannot certify near-equioscillation.
@@ -210,6 +217,8 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, tol_ratio: float = 0.9999,
         raise RationalError(f"fractional exponent must be in (0,1), got {alpha_frac}")
     if m < 1:
         raise RationalError("rational order m must be >= 1")
+    if m > ORDER_CAP:
+        raise RationalError(f"rational order m={m} exceeds the cap {ORDER_CAP}")
     if not (b > 0):
         raise RationalError("interval endpoint must be positive")
     ratio, (y, fy, w), loc, signed, sup = _brasil_canonical(
@@ -333,12 +342,6 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
 
 
 # -- order calibration ------------------------------------------------------------
-
-# Largest rational order a model may use: above it the partial-fraction
-# residues leave double precision at small fractional parts ({alpha} ~ 1/8)
-# and the minimax solve itself breaks down.
-ORDER_CAP = 16
-
 
 def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
     """Rational order balancing FEM and rational error terms:

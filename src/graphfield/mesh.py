@@ -10,6 +10,7 @@ every incident edge.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,15 @@ class EdgeMesh:
 
 
 class Mesh:
-    """Uniform per-edge refinement of a metric graph."""
+    """Uniform per-edge refinement of a metric graph.
+
+    Arrays built once, in edge order:
+
+    - ``seg_nodes`` (n_segments, 2), ``seg_h``: every segment's two global
+      nodes and its length;
+    - ``node_edge``, ``node_t``: every global node's canonical location
+      (edge, t) with ``t = j * h`` for local node j of that edge.
+    """
 
     def __init__(self, graph: MetricGraph, target_h: float):
         if not (target_h > 0):
@@ -45,13 +54,30 @@ class Mesh:
 
         nv = graph.n_vertices
         self._vnode = {vid: i for i, vid in enumerate(graph.vertex_ids)}
-        self._interior_start = []
+        # global node of every local node j = 0..n_segments, edge by edge
+        self._edge_nodes: list[list[int]] = []
         start = nv
-        for em in self.edge_meshes:
-            self._interior_start.append(start)
+        for e, em in zip(graph.edges, self.edge_meshes):
+            self._edge_nodes.append([self._vnode[e.u], *range(start, start + em.n_segments - 1),
+                                     self._vnode[e.v]])
             start += em.n_segments - 1
         self.n_nodes = start
         self.matrix_cache: dict = {}  # assembled matrices, keyed by assembler
+
+        seq = np.fromiter(itertools.chain.from_iterable(self._edge_nodes), dtype=np.int64)
+        n_seg = np.array([em.n_segments for em in self.edge_meshes])
+        edge_h = np.array([em.h for em in self.edge_meshes])
+        counts = n_seg + 1  # local nodes per edge
+        seq_edge = np.repeat(np.arange(graph.n_edges), counts)
+        seq_j = np.arange(seq.size) - (np.cumsum(counts) - counts)[seq_edge]
+        inner = (seq_j < n_seg[seq_edge])[:-1]  # seq[k] and seq[k + 1] share an edge
+        self.seg_nodes = np.column_stack((seq[:-1][inner], seq[1:][inner]))
+        self.seg_h = np.repeat(edge_h, n_seg)
+        # a node's canonical location is its first local node in edge order,
+        # so a vertex maps to an end of its lowest-index incident edge
+        _, first = np.unique(seq, return_index=True)
+        self.node_edge = seq_edge[first]
+        self.node_t = seq_j[first] * edge_h[self.node_edge]
 
     @property
     def N(self) -> int:
@@ -62,27 +88,14 @@ class Mesh:
 
     def edge_node(self, edge_id: int, j: int) -> int:
         """Global index of local node j on an edge (j = 0..n_segments)."""
-        e = self.graph.edges[edge_id]
-        n = self.edge_meshes[edge_id].n_segments
-        if j == 0:
-            return self._vnode[e.u]
-        if j == n:
-            return self._vnode[e.v]
-        return self._interior_start[edge_id] + j - 1
+        return self._edge_nodes[edge_id][j]
 
     def node_points(self) -> list[GraphPoint]:
-        """Canonical GraphPoint for every global node.
+        """Canonical GraphPoint (node_edge, node_t) for every global node.
 
         Vertex nodes map to an endpoint of their lowest-index incident edge.
         """
-        pts: list[GraphPoint | None] = [None] * self.n_nodes
-        for eid, e in enumerate(self.graph.edges):
-            em = self.edge_meshes[eid]
-            for j in range(em.n_segments + 1):
-                g = self.edge_node(eid, j)
-                if pts[g] is None:
-                    pts[g] = GraphPoint(eid, j * em.h)
-        return pts  # every vertex is an endpoint of some edge, all filled
+        return list(map(GraphPoint, self.node_edge.tolist(), self.node_t.tolist()))
 
     def node_xy(self) -> np.ndarray:
         """Planar coordinates for every node (requires graph coordinates)."""
@@ -116,13 +129,6 @@ class Mesh:
                 cols.append(node)
                 vals.append(w)
         return csr_matrix((vals, (rows, cols)), shape=(len(points), self.n_nodes))
-
-    def segments(self):
-        """Iterate (global_i, global_j, h_seg) over all mesh segments."""
-        for eid in range(self.graph.n_edges):
-            em = self.edge_meshes[eid]
-            for j in range(em.n_segments):
-                yield self.edge_node(eid, j), self.edge_node(eid, j + 1), em.h
 
     def interpolate(self, node_values: np.ndarray, s: GraphPoint) -> float:
         return float(sum(w * node_values[n] for n, w in self.eval_basis(s)))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 
-from graphfield.assembly import (AssumptionError, assemble_kappa_mass,
-                                 assemble_mass, assemble_stiffness,
-                                 dump_coordinate_format, kappa_mass_diagonal,
-                                 lump_mass, operator_matrix)
+from graphfield.assembly import (AssumptionError, assemble_mass,
+                                 assemble_stiffness, dump_coordinate_format,
+                                 kappa_mass_diagonal, lump_mass, operator_matrix)
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
 from graphfield.mesh import build_mesh
+
+from strategies import random_meshes
 
 
 @pytest.fixture
@@ -83,8 +87,7 @@ def test_circle_stiffness_circulant():
 
 def test_assembled_matrices_symmetric():
     mesh = build_mesh(tadpole_graph(), 0.11)
-    for M in (assemble_mass(mesh), assemble_stiffness(mesh),
-              assemble_kappa_mass(mesh, lambda p: 1.0 + p.t)):
+    for M in (assemble_mass(mesh), assemble_stiffness(mesh)):
         d = abs(M - M.T)
         assert d.nnz == 0 or d.max() == 0.0
 
@@ -115,11 +118,6 @@ def test_kappa_mass_monotone_bounds():
     mesh = build_mesh(g, 0.1)
     xs = np.array([g.point_xy(p)[0] for p in mesh.node_points()])
     kappa = np.exp(0.1 * xs)
-    Ck = assemble_kappa_mass(mesh, kappa).toarray()
-    C = assemble_mass(mesh).toarray()
-    assert np.all(Ck >= np.exp(0.2 * xs.min()) * C * (1 - 1e-12))
-    assert np.all(Ck <= np.exp(0.2 * xs.max()) * C * (1 + 1e-12))
-    # the lumped variant is exactly kappa_i^2 * Ctilde_ii
     d = kappa_mass_diagonal(mesh, kappa)
     ctil = lump_mass(assemble_mass(mesh))
     assert np.all(d >= np.exp(0.2 * xs.min()) * ctil * (1 - 1e-12))
@@ -146,20 +144,6 @@ def test_operator_constant_vector(unit_interval_mesh):
     L, c = operator_matrix(unit_interval_mesh, 2.0)
     ones = np.ones(3)
     assert np.allclose(L @ ones, 4.0 * c * ones, atol=1e-14)
-
-
-def test_lumped_vs_consistent_covariance_second_order():
-    # alpha = 1 covariances from lumped and consistent mass differ by O(h^2)
-    g = interval_graph(1.0)
-    diffs = []
-    for h in (1 / 16, 1 / 32):
-        mesh = build_mesh(g, h)
-        Ll, cl = operator_matrix(mesh, 2.0, lumped=True)
-        Lc, Cc = operator_matrix(mesh, 2.0, lumped=False)
-        S_l = np.linalg.inv(Ll.toarray())
-        S_c = np.linalg.inv(Lc.toarray())
-        diffs.append(np.abs(S_l - S_c).max())
-    assert diffs[1] <= diffs[0] / 3.0  # ~ factor 4 for O(h^2)
 
 
 def test_kirchhoff_flux_balance_converges():
@@ -192,3 +176,40 @@ def test_dump_coordinate_format(tmp_path):
     got = {(int(i), int(j)): float(v) for i, j, v in rows}
     for (i, j), v in got.items():
         assert v == C.toarray()[i, j]  # 17 significant digits round-trip
+
+
+def per_segment_reference(mesh, local):
+    """Dense matrix summed segment by segment, edge by edge, from edge_node;
+    `local(h)` gives the element's (diagonal, off-diagonal) entries."""
+    M = np.zeros((mesh.N, mesh.N))
+    for eid, em in enumerate(mesh.edge_meshes):
+        d, o = local(em.h)
+        for j in range(em.n_segments):
+            a, b = mesh.edge_node(eid, j), mesh.edge_node(eid, j + 1)
+            M[a, a] += d
+            M[b, b] += d
+            M[a, b] += o
+            M[b, a] += o
+    return M
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=random_meshes(), kappa0=st.floats(0.5, 5.0))
+def test_assembly_matches_per_segment_reference(mesh, kappa0):
+    C = assemble_mass(mesh)
+    G = assemble_stiffness(mesh)
+    kappa = kappa0 * (1.0 + mesh.node_t)
+    L, c = operator_matrix(mesh, kappa)
+    C_ref = per_segment_reference(mesh, lambda h: (h / 3.0, h / 6.0))
+    G_ref = per_segment_reference(mesh, lambda h: (1.0 / h, -1.0 / h))
+    c_ref = lump_mass(csr_matrix(C_ref))
+    L_ref = G_ref + np.diag(kappa**2 * c_ref)
+    assert np.array_equal(C.toarray(), C_ref)
+    assert np.array_equal(G.toarray(), G_ref)
+    assert np.array_equal(c, c_ref)
+    assert np.array_equal(L.toarray(), L_ref)
+
+    for i, (e, t) in enumerate(zip(mesh.node_edge, mesh.node_t)):
+        assert mesh.eval_basis(GraphPoint(int(e), float(t))) == [(i, 1.0)]
+    assert np.abs(G @ np.ones(mesh.N)).max() <= 1e-12 * np.abs(G.data).max()
+    assert C.sum() == pytest.approx(mesh.graph.total_length, rel=1e-12)

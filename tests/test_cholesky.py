@@ -7,8 +7,10 @@ from scipy.linalg.lapack import dpotrf
 
 from graphfield.assembly import operator_matrix
 from graphfield.cholesky import NotSPDError, SparseCholesky
-from graphfield.graph import MetricGraph, tadpole_graph
+from graphfield.graph import tadpole_graph
 from graphfield.mesh import build_mesh
+
+from strategies import random_meshes
 
 
 @pytest.fixture
@@ -98,17 +100,8 @@ def test_sampling_backsolve_covariance():
 
 @st.composite
 def graph_operators(draw):
-    """Operator matrices on random connected metric graphs: a hub of degree
-    5-12 plus extra edges that close cycles (self-loops and parallel edges
-    included)."""
-    hub = draw(st.integers(5, 12))
-    lengths = st.floats(0.2, 1.5)
-    edges = [(0, v, draw(lengths)) for v in range(1, hub + 1)]
-    for _ in range(draw(st.integers(1, 6))):
-        u, v = draw(st.integers(0, hub)), draw(st.integers(0, hub))
-        edges.append((u, v, draw(lengths)))
-    mesh = build_mesh(MetricGraph(list(range(hub + 1)), edges), draw(st.floats(0.1, 0.3)))
-    L, _ = operator_matrix(mesh, draw(st.floats(0.5, 5.0)))
+    """Operator matrices on random connected metric graphs."""
+    L, _ = operator_matrix(draw(random_meshes()), draw(st.floats(0.5, 5.0)))
     return L
 
 

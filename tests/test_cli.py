@@ -67,6 +67,11 @@ def test_rational_command(capsys):
     assert all(r > 0 for r in out["residues"])
 
 
+def test_rational_order_above_cap(capsys):
+    assert run(["rational", "--alpha", "0.5", "--m", "17"]) == 2
+    assert "exceeds the cap 16" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -257,3 +262,12 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("expr", ["log(t-1)", "1/t", "exp(1000*t)", "(-1)**0.5"])
+def test_non_finite_expression_reported(tmp_path, capsys, expr):
+    argv = ["simulate", "tadpole", "--h", "0.1", "--alpha", "1.0", "--kappa-expr", expr,
+            "--out", str(tmp_path / "s.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {expr!r} is not finite at node ") and "(edge " in err

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphfield.fractional import (ORDER_CAP, NonConvergenceError, RationalError,
-                                   brasil, calibrate_order, partial_fractions)
+                                   _brasil_canonical, brasil, calibrate_order,
+                                   partial_fractions)
 
 
 def dense_sup_error(approx, n=100_000):
@@ -114,6 +115,13 @@ def test_invalid_arguments():
         brasil(0.5, 0)
     with pytest.raises(RationalError):
         brasil(0.5, 2, b=-1.0)
+
+
+def test_order_above_cap_rejected_before_solving():
+    solves = _brasil_canonical.cache_info().misses
+    with pytest.raises(RationalError, match=f"exceeds the cap {ORDER_CAP}"):
+        brasil(0.1, 24)
+    assert _brasil_canonical.cache_info().misses == solves
 
 
 def test_nonconvergence_carries_iterate():
