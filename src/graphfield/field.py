@@ -1,26 +1,31 @@
 """Generalized Whittle-Matern fields on a meshed metric graph.
 
 A field model combines the discrete operator L = G + kappa^2 C~ (lumped mass
-C~) with a rational approximation of the fractional power.  The covariance of
-the basis weights is
+C~) with a rational approximation of the fractional power.  The SPDE
+(kappa^2 - Delta)^{alpha/2} (tau u) = W makes u = T^{-1} x with T = diag(tau)
+and x the tau = 1 field, whose covariance is
 
-    Sigma_u = tau^{-1} (L^{-1}C)^{n} sum_i r_i (L - p_i C)^{-1} tau^{-1}
-              + tau^{-1} K_n tau^{-1},        n = floor(alpha),
+    Sigma_x = (L^{-1}C)^{n} sum_i r_i (L - p_i C)^{-1} + K_n,   n = floor(alpha),
 
-with K_n = k (L^{-1}C)^{n} C^{-1}, and equivalently u = sum of m+1
-independent GMRFs with sparse precisions
+with K_n = k (L^{-1}C)^{n} C^{-1}; Sigma_u = T^{-1} Sigma_x T^{-1}.  Equivalently
+x = sum of m+1 independent GMRFs with tau-free sparse precisions
 
-    Q_i = r_i^{-1} tau (L - p_i C)(C^{-1}L)^{n} tau   (i = 1..m),
-    Q_{m+1} = tau K_n^{-1} tau.
+    Q_i = r_i^{-1} (L - p_i C)(C^{-1}L)^{n}   (i = 1..m),
+    Q_{m+1} = K_n^{-1},
 
-For integer alpha the rational stage is bypassed and Q = tau L (C^{-1}L)^{alpha-1} tau.
+and u's blocks are T Q_i T.  For integer alpha the rational stage is bypassed
+and Q = L (C^{-1}L)^{alpha-1}.
+
+The blocks, their factors and the diagonal of their summed inverses depend
+on (mesh, kappa, alpha, m) only; tau is applied where they are used, so
+models that differ only in tau share them (see variance_stationary_model).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -42,6 +47,16 @@ class FieldError(ValueError):
 
 
 @dataclass
+class _BlockCore:
+    """The tau-free blocks Q_i, their factors and diag(sum_i Q_i^{-1}),
+    filled on first use and shared by models that differ only in tau."""
+
+    blocks: list = field(default_factory=list)
+    factors: list = field(default_factory=list)
+    variance: np.ndarray | None = None
+
+
+@dataclass
 class FieldModel:
     """Discretized generalized Whittle-Matern field."""
 
@@ -53,8 +68,7 @@ class FieldModel:
     rational: PartialFractions | None
     L: csr_matrix
     c_diag: np.ndarray
-    _blocks: list = field(default_factory=list, repr=False)
-    _factors: list = field(default_factory=list, repr=False)
+    _core: _BlockCore = field(default_factory=_BlockCore, repr=False)
     _L_factor: SparseCholesky | None = field(default=None, repr=False)
 
     @classmethod
@@ -110,46 +124,56 @@ class FieldModel:
             P = S if P is None else P @ S
         return P
 
-    def precision_blocks(self) -> list[csr_matrix]:
-        """The m+1 sparse SPD precision blocks (a single block for integer alpha)."""
-        if self._blocks:
-            return self._blocks
-        tau = self.tau_nodes
-        Td = diags(tau)
+    def _tau_free_blocks(self) -> list[csr_matrix]:
+        """The m+1 tau-free blocks Q_i (a single block for integer alpha)."""
+        if self._core.blocks:
+            return self._core.blocks
         Cd = diags(self.c_diag)
         n = int(math.floor(self.alpha))
         blocks = []
         if self.rational is None:
             P = self._lambda_power(int(self.alpha) - 1)
             Q = self.L if P is None else self.L @ P
-            blocks.append(_sym(Td @ Q @ Td))
+            blocks.append(_sym(Q))
         else:
             P = self._lambda_power(n)
             for r, p in zip(self.rational.residues, self.rational.poles):
-                T = (self.L - p * Cd).tocsr()
-                Q = T if P is None else T @ P
-                blocks.append(_sym(Td @ Q @ Td) / r)
+                Lp = (self.L - p * Cd).tocsr()
+                Q = Lp if P is None else Lp @ P
+                blocks.append(_sym(Q) / r)
             k = self.rational.k
             if n == 0:
                 Kinv = Cd / k
             else:
                 Pm1 = self._lambda_power(n - 1)
                 Kinv = (self.L if Pm1 is None else self.L @ Pm1) / k
-            blocks.append(_sym(Td @ Kinv @ Td))
-        self._blocks = blocks
+            blocks.append(_sym(Kinv))
+        self._core.blocks = blocks
         return blocks
 
+    def precision_blocks(self) -> list[csr_matrix]:
+        """The m+1 sparse SPD precision blocks T Q_i T of the field u, formed
+        by scaling each tau-free block's entries with tau_row * tau_col."""
+        tau = self.tau_nodes
+        out = []
+        for Q in self._tau_free_blocks():
+            rows = np.repeat(np.arange(self.N), np.diff(Q.indptr))
+            out.append(csr_matrix((Q.data * (tau[rows] * tau[Q.indices]), Q.indices,
+                                   Q.indptr), shape=Q.shape))
+        return out
+
     def block_factors(self) -> list[SparseCholesky]:
-        if not self._factors:
+        """Cholesky factors of the tau-free blocks Q_i."""
+        if not self._core.factors:
             factors = []
-            for i, Q in enumerate(self.precision_blocks()):
+            for i, Q in enumerate(self._tau_free_blocks()):
                 try:
                     factors.append(SparseCholesky(Q))
                 except NotSPDError as err:
                     raise FieldError(f"precision block {i} not SPD: pivot "
                                      f"{err.pivot_index} at mesh node {err.row}") from err
-            self._factors = factors
-        return self._factors
+            self._core.factors = factors
+        return self._core.factors
 
     def _operator_factor(self) -> SparseCholesky:
         if self._L_factor is None:
@@ -200,13 +224,16 @@ class FieldModel:
         return out
 
     def covariance_from_blocks(self) -> np.ndarray:
-        """Dense sum of block inverses; the independent second route."""
+        """Dense T^{-1} (sum_i Q_i^{-1}) T^{-1}; the independent second route."""
         if self.N > _DENSE_GUARD:
             raise FieldError(f"dense covariance guarded at N <= {_DENSE_GUARD}")
         eye = np.eye(self.N)
         out = np.zeros((self.N, self.N))
         for F in self.block_factors():
             out += F.solve(eye)
+        tinv = 1.0 / self.tau_nodes
+        out *= tinv[:, None]
+        out *= tinv
         return 0.5 * (out + out.T)
 
     def covariance_row(self, s0: GraphPoint) -> np.ndarray:
@@ -214,18 +241,22 @@ class FieldModel:
         psi = np.zeros(self.N)
         for node, w in self.mesh.eval_basis(s0):
             psi[node] = w
+        psi /= self.tau_nodes
         out = np.zeros(self.N)
         for F in self.block_factors():
             out += F.solve(psi)
-        return out
+        return out / self.tau_nodes
 
     def marginal_variance(self) -> np.ndarray:
-        """diag(Sigma_u) = sum_i diag(Q_i^{-1}), by selected inversion of
-        each block factor."""
-        out = np.zeros(self.N)
-        for F in self.block_factors():
-            out += F.selected_inverse_diag()
-        return out
+        """diag(Sigma_u) = sum_i diag(Q_i^{-1}) / tau^2, the tau-free sum by
+        selected inversion of each block factor, once per shared core."""
+        core = self._core
+        if core.variance is None:
+            out = np.zeros(self.N)
+            for F in self.block_factors():
+                out += F.selected_inverse_diag()
+            core.variance = out
+        return core.variance / self.tau_nodes**2
 
     def marginal_std(self) -> np.ndarray:
         return np.sqrt(self.marginal_variance())
@@ -233,7 +264,7 @@ class FieldModel:
     # -- sampling ------------------------------------------------------------------
 
     def sample(self, n_samples: int, seed: int) -> np.ndarray:
-        """Draw field weights: (n_samples, N_h) with rows u = sum_i x_i,
+        """Draw field weights: (n_samples, N_h) with rows u = T^{-1} sum_i x_i,
         x_i ~ N(0, Q_i^{-1}).
 
         Deterministic per (seed, block index) via counter-based Philox streams,
@@ -246,7 +277,7 @@ class FieldModel:
             )
             z = rng.standard_normal((self.N, n_samples))
             out += F.sample_backsolve(z)
-        return out.T
+        return (out / self.tau_nodes[:, None]).T
 
 
 def _sym(M) -> csr_matrix:
@@ -264,12 +295,16 @@ def _sym(M) -> csr_matrix:
 def variance_stationary_model(mesh: Mesh, kappa, alpha: float, sigma0: float,
                               m: int | None = None) -> FieldModel:
     """Field with tau = sigma_kappa / sigma0, where sigma_kappa is the marginal
-    standard deviation of the tau=1 model: nodal variances become sigma0^2."""
+    standard deviation of the tau=1 model: nodal variances become sigma0^2.
+
+    The blocks do not depend on tau, so the returned model shares the tau=1
+    model's blocks, factors and selected-inverse diagonal; its marginal
+    variance sigma_kappa^2 / tau^2 equals sigma0^2 up to rounding."""
     if sigma0 <= 0:
         raise FieldError("sigma0 must be positive")
     base = FieldModel.build(mesh, alpha, kappa, 1.0, m=m)
     sigma_k = base.marginal_std()
-    return FieldModel.build(mesh, alpha, kappa, sigma_k / sigma0, m=base.m)
+    return replace(base, tau_nodes=positive_coefficient(mesh, sigma_k / sigma0, "tau"))
 
 
 def log_regression_coefficients(mesh: Mesh, covariates, theta_tau, theta_kappa):
@@ -283,11 +318,14 @@ def log_regression_coefficients(mesh: Mesh, covariates, theta_tau, theta_kappa):
     theta_kappa = np.asarray(theta_kappa, float)
     if len(theta_tau) != len(gs) + 1 or len(theta_kappa) != len(gs) + 1:
         raise FieldError("theta must hold an intercept plus one slope per covariate")
+    return (log_linear(mesh.N, theta_tau[0], zip(theta_tau[1:], gs)),
+            log_linear(mesh.N, theta_kappa[0], zip(theta_kappa[1:], gs)))
 
-    def predict(theta):
-        eta = np.full(mesh.N, theta[0])
-        for coef, g in zip(theta[1:], gs):
-            eta += coef * g
-        return np.exp(eta)
 
-    return predict(theta_tau), predict(theta_kappa)
+def log_linear(n: int, intercept, terms) -> np.ndarray:
+    """exp(intercept + sum_j coef_j g_j) at n nodes, for terms (coef_j, g_j)
+    with g_j node-value arrays; the terms are summed in the order given."""
+    eta = np.full(n, intercept, dtype=float)
+    for coef, g in terms:
+        eta += coef * np.asarray(g, float)
+    return np.exp(eta)

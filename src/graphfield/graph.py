@@ -207,31 +207,43 @@ class MetricGraph:
     # -- coordinates (metadata) ---------------------------------------------
 
     def point_xy(self, p: GraphPoint) -> tuple[float, float]:
-        """Planar coordinates of a point, interpolated along the edge.
+        """Planar coordinates of a point (see edge_xy)."""
+        p = self.check_point(p)
+        x, y = self.edge_xy(p.edge, [p.t])[0]
+        return float(x), float(y)
+
+    def edge_xy(self, edge: int, t) -> np.ndarray:
+        """Planar coordinates, shape (len(t), 2), of the points at arc lengths
+        t on one edge, interpolated along it.
 
         Uses the polyline geometry when present, otherwise the straight
         segment between endpoint coordinates.  Raises if coordinates are
         unavailable.
         """
-        p = self.check_point(p)
-        e = self.edges[p.edge]
+        t = np.asarray(t, dtype=float)
+        if t.size:
+            for v in (t.min(), t.max()):
+                self.check_point(GraphPoint(edge, float(v)))
+        e = self.edges[edge]
+        t = np.clip(t, 0.0, e.length)
         if e.geometry:
             pts = np.asarray(e.geometry)
             seg = np.hypot(*np.diff(pts, axis=0).T)
             cum = np.concatenate([[0.0], np.cumsum(seg)])
             if cum[-1] <= 0:
                 raise GraphError(f"edge {e.id}: degenerate geometry")
-            s = p.t / e.length * cum[-1]
-            i = min(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
-            w = 0.0 if seg[i] == 0 else (s - cum[i]) / seg[i]
-            return tuple(pts[i] * (1 - w) + pts[i + 1] * w)
+            s = t / e.length * cum[-1]
+            i = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(seg[i] == 0, 0.0, (s - cum[i]) / seg[i])[:, None]
+            return pts[i] * (1 - w) + pts[i + 1] * w
         try:
-            x0, y0 = self.vertex_coords[e.u]
-            x1, y1 = self.vertex_coords[e.v]
+            p0 = np.array(self.vertex_coords[e.u])
+            p1 = np.array(self.vertex_coords[e.v])
         except KeyError:
             raise GraphError("vertex coordinates unavailable for point_xy") from None
-        w = p.t / e.length
-        return (x0 * (1 - w) + x1 * w, y0 * (1 - w) + y1 * w)
+        w = (t / e.length)[:, None]
+        return p0 * (1 - w) + p1 * w
 
     # -- serialization -------------------------------------------------------
 

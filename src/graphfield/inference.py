@@ -21,7 +21,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from .cholesky import SparseCholesky
-from .field import FieldModel, variance_stationary_model
+from .field import FieldModel, log_linear, variance_stationary_model
 from .graph import GraphPoint
 from .mesh import Mesh
 
@@ -148,7 +148,9 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     Y = obs.matrix
     R = Y.shape[1]
     Fq = SparseCholesky(Qpost)
-    logdet_q = sum(f.logdet() for f in model.block_factors())
+    # log det(T Q_i T) = log det Q_i + 2 sum(log tau) for each of the K blocks
+    logdet_q = sum(f.logdet() for f in model.block_factors()) \
+        + 2 * K * float(np.sum(np.log(model.tau_nodes)))
     logdet_sy = Fq.logdet() - logdet_q + n * math.log(s2)
 
     def siginv(V):
@@ -296,11 +298,9 @@ def _collect_free(spec: ModelSpec):
 
 def _materialize(spec: ModelSpec, mesh: Mesh, alpha: float, theta: dict) -> FieldModel:
     def predict(reg: LogRegression, prefix: str):
-        eta = np.full(mesh.N, theta.get(f"{prefix}_intercept", reg.intercept))
-        for j, s in enumerate(reg.slopes):
-            coef = theta.get(f"{prefix}_slope{j}", s)
-            eta = eta + coef * np.asarray(spec.covariates[j], float)
-        return np.exp(eta)
+        return log_linear(mesh.N, theta.get(f"{prefix}_intercept", reg.intercept),
+                          [(theta.get(f"{prefix}_slope{j}", s), spec.covariates[j])
+                           for j, s in enumerate(reg.slopes)])
 
     kappa = predict(spec.kappa, "kappa")
     if spec.variance_stationary:

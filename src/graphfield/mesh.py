@@ -99,7 +99,13 @@ class Mesh:
 
     def node_xy(self) -> np.ndarray:
         """Planar coordinates for every node (requires graph coordinates)."""
-        return np.array([self.graph.point_xy(p) for p in self.node_points()])
+        order = np.argsort(self.node_edge, kind="stable")
+        bounds = np.searchsorted(self.node_edge[order], np.arange(self.graph.n_edges + 1))
+        xy = np.empty((self.n_nodes, 2))
+        for e in range(self.graph.n_edges):
+            nodes = order[bounds[e]:bounds[e + 1]]
+            xy[nodes] = self.graph.edge_xy(e, self.node_t[nodes])
+        return xy
 
     def eval_basis(self, s: GraphPoint) -> list[tuple[int, float]]:
         """Hat-basis weights at a point: at most two (node, weight) pairs.

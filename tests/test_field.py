@@ -5,10 +5,13 @@ from scipy.sparse import diags
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from graphfield.assembly import lump_mass, assemble_mass
+from graphfield.cholesky import SparseCholesky
+from graphfield.exprs import CoefficientExpression
 from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
                               variance_stationary_model)
 from graphfield.fractional import ORDER_CAP
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
+from graphfield.inference import ObservationSet, log_likelihood
 from graphfield.mesh import build_mesh
 from graphfield.oracle import spectral_discrete_cov
 
@@ -258,3 +261,78 @@ def test_order_above_cap_rejected_before_minimax(interval_mesh_65, monkeypatch):
     monkeypatch.setattr("graphfield.field.brasil", no_solve)
     with pytest.raises(FieldError, match=f"cap {ORDER_CAP}"):
         FieldModel.build(interval_mesh_65, 0.75, 2.0, 1.0, m=ORDER_CAP + 1)
+
+
+# -- tau applied as a diagonal scaling of tau-free blocks ------------------------------
+
+
+@pytest.mark.parametrize("builder", [lambda: interval_graph(1.0), lambda: star_graph(4),
+                                     tadpole_graph])
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+def test_variance_stationary_covariance_diagonal(builder, alpha):
+    """The variance-stationary model's marginal variance is sigma0^2 by
+    construction, so check it on the shifted-operator route, which does not
+    use the block factors."""
+    mesh = build_mesh(builder(), 0.05)
+    model = variance_stationary_model(mesh, 2.0, alpha, sigma0=1.0)
+    assert np.abs(np.diag(model.covariance()) - 1.0).max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def tau_case():
+    mesh = build_mesh(tadpole_graph(), 0.08)
+    t = np.linspace(0.0, 1.0, mesh.N)
+    return mesh, 2.0 + np.sin(3 * t), 0.6 + 0.8 * t**2
+
+
+@pytest.mark.parametrize("alpha,m", [(0.75, 2), (1.4, 3), (2.0, None)])
+def test_tau_scales_the_tau_free_model(tau_case, alpha, m):
+    mesh, kappa, tau = tau_case
+    one = FieldModel.build(mesh, alpha, kappa, 1.0, m=m)
+    model = FieldModel.build(mesh, alpha, kappa, tau, m=m)
+    T = diags(tau)
+    for Q, Q1 in zip(model.precision_blocks(), one.precision_blocks()):
+        want = (T @ Q1 @ T).toarray()
+        assert np.abs(Q.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    S = model.covariance()
+    assert np.abs(model.covariance_from_blocks() - S).max() < 1e-9
+    assert np.array_equal(model.sample(3, seed=4), one.sample(3, seed=4) / tau)
+
+    rng = np.random.default_rng(5)
+    pts = [GraphPoint(int(e), rng.uniform(0.0, mesh.graph.edges[e].length))
+           for e in rng.integers(0, mesh.graph.n_edges, 12)]
+    obs = ObservationSet(pts, rng.standard_normal(12), 0.3)
+    A = mesh.basis_matrix(pts).toarray()
+    Sy = A @ S @ A.T + 0.3**2 * np.eye(12)
+    _, logdet = np.linalg.slogdet(Sy)
+    want = -0.5 * (12 * np.log(2 * np.pi) + logdet + obs.values @ np.linalg.solve(Sy, obs.values))
+    got, _ = log_likelihood(model, obs)
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_variance_stationary_shares_the_base_factors(monkeypatch):
+    made = []
+
+    class Counting(SparseCholesky):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("graphfield.field.SparseCholesky", Counting)
+    mesh = build_mesh(tadpole_graph(), 0.08)
+    model = variance_stationary_model(mesh, 2.0, 1.4, sigma0=1.0, m=3)
+    model.marginal_std()
+    assert len(made) == model.n_blocks == 4
+
+
+def test_hardest_benchmark_input_within_tolerance():
+    """Tadpole, N = 1500, alpha = 1.4 (m = 16), at the kappa where the
+    variance-stationary and marginal-variance checks sit closest to 1e-8."""
+    mesh = build_mesh(tadpole_graph(), 0.002)
+    kappa = CoefficientExpression("3.30211*exp(0.111581*sin(2*t))").node_values(mesh)
+    std = variance_stationary_model(mesh, kappa, 1.4, sigma0=1.0).marginal_std()
+    assert np.abs(std - 1.0).max() < 1e-8
+    base = FieldModel.build(mesh, 1.4, kappa, 1.0)
+    assert base.m == 16 and mesh.N == 1500
+    want = np.diag(base.covariance())
+    assert np.abs(base.marginal_variance() - want).max() < 1e-8 * np.abs(want).max()

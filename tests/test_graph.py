@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphfield.graph import (GraphError, GraphPoint, MetricGraph, builtin_graph,
                               circle_graph, interval_graph, practical_range,
                               star_graph, tadpole_graph, validate)
+from graphfield.mesh import build_mesh
 
 
 def test_validate_tadpole():
@@ -121,6 +122,22 @@ def test_point_xy_interpolates():
     g = interval_graph(2.0)
     x, y = g.point_xy(GraphPoint(0, 0.5))
     assert (x, y) == pytest.approx((0.5, 0.0))
+
+
+def test_edge_xy_matches_point_xy():
+    # edge 0 is a polyline with a repeated (zero-length) corner, edge 1 straight
+    g = MetricGraph([(0, 0.0, 0.0), (1, 1.0, 1.0), (2, 3.0, 0.0)],
+                    [(0, 1, 2.0, [(0, 0), (1, 0), (1, 0), (1, 1)]), (1, 2, 2.5)])
+    for edge, want in [(0, [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]),
+                       (1, [(1.0, 1.0), (1.5, 0.75), (2.0, 0.5), (2.5, 0.25), (3.0, 0.0)])]:
+        t = np.linspace(0.0, g.edges[edge].length, 5)
+        xy = g.edge_xy(edge, t)
+        assert xy == pytest.approx(np.array(want), abs=1e-15)
+        assert np.array_equal(xy, [g.point_xy(GraphPoint(edge, v)) for v in t])
+    with pytest.raises(GraphError):
+        g.edge_xy(1, [0.0, 2.6])
+    mesh = build_mesh(g, 0.07)
+    assert np.array_equal(mesh.node_xy(), [g.point_xy(p) for p in mesh.node_points()])
 
 
 def test_builtin_graphs():
