@@ -83,19 +83,45 @@ def positive_coefficient(mesh: Mesh, func, name: str) -> np.ndarray:
     return vals
 
 
+def lumped_mass(mesh: Mesh) -> np.ndarray:
+    """lump_mass(assemble_mass(mesh)), computed once per mesh (read-only)."""
+    if "lumped_mass" not in mesh.matrix_cache:
+        c = lump_mass(assemble_mass(mesh))
+        c.flags.writeable = False
+        mesh.matrix_cache["lumped_mass"] = c
+    return mesh.matrix_cache["lumped_mass"]
+
+
+def _diagonal_slots(mesh: Mesh) -> np.ndarray:
+    """Positions of the diagonal entries in the stiffness matrix's data; G,
+    and so every matrix on its pattern, stores every diagonal entry."""
+    if "diagonal_slots" not in mesh.matrix_cache:
+        G = assemble_stiffness(mesh)
+        rows = np.repeat(np.arange(mesh.N), np.diff(G.indptr))
+        mesh.matrix_cache["diagonal_slots"] = np.flatnonzero(G.indices == rows)
+    return mesh.matrix_cache["diagonal_slots"]
+
+
+def shift_diagonal(mesh: Mesh, M: csr_matrix, d: np.ndarray) -> csr_matrix:
+    """M + diag(d) for M on the stiffness pattern of `mesh`, on that same
+    pattern (index arrays shared with M): only the diagonal values change."""
+    data = M.data.copy()
+    data[_diagonal_slots(mesh)] += d
+    return csr_matrix((data, M.indices, M.indptr), shape=M.shape)
+
+
 def kappa_mass_diagonal(mesh: Mesh, kappa) -> np.ndarray:
     """Diagonal of the lumped kappa-weighted mass: kappa(s_i)^2 * Ctilde_ii."""
     k = positive_coefficient(mesh, kappa, "kappa")
-    return k**2 * lump_mass(assemble_mass(mesh))
+    return k**2 * lumped_mass(mesh)
 
 
 def operator_matrix(mesh: Mesh, kappa):
     """Discrete operator L = G + diag(kappa^2) Ctilde with Ctilde the lumped
-    mass; returns (L, Ctilde diagonal as 1-D array)."""
-    G = assemble_stiffness(mesh)
-    d = kappa_mass_diagonal(mesh, kappa)
-    L = G + csr_matrix((d, (range(mesh.N), range(mesh.N))), shape=G.shape)
-    return L.tocsr(), lump_mass(assemble_mass(mesh))
+    mass; returns (L, Ctilde diagonal as 1-D array).  L has G's pattern; the
+    Ctilde diagonal is the mesh's cached, read-only array."""
+    L = shift_diagonal(mesh, assemble_stiffness(mesh), kappa_mass_diagonal(mesh, kappa))
+    return L, lumped_mass(mesh)
 
 
 def dump_coordinate_format(matrix, path):

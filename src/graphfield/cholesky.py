@@ -16,6 +16,16 @@ s >= bw columns.  On such blocks G is block lower-bidiagonal, so
 
 from the last block to the first.  That is O(n s^2) work in BLAS and
 O(n bw) memory, and gives every entry of Z within the band.
+
+Factorization is split into a symbolic and a numeric step, as in CHOLMOD's
+analyse/factorize (Chen, Davis, Hager & Rajamanickam 2008).  `Analysis`
+depends on the sparsity pattern only: it computes the RCM order, bw and the
+band slot of every stored entry.  The numeric step in `SparseCholesky`
+scatters the values into the band and runs dpbtrf.  A factor built with the
+analysis of an earlier one reuses it when the pattern (indptr, indices and
+extra_pattern) is equal, and analyses afresh otherwise, so matrices that
+share a pattern (the blocks of one model, one likelihood evaluation after
+another) pay for the ordering once.
 """
 
 from __future__ import annotations
@@ -40,27 +50,26 @@ class NotSPDError(np.linalg.LinAlgError):
         self.row = row
 
 
-class SparseCholesky:
-    """P A P^T = G G^T with G lower triangular of bandwidth bw.
-
-    Parameters
-    ----------
-    A : sparse matrix, symmetric positive definite
-    extra_pattern : optional (rows, cols) arrays
-        Structural zeros added to A's pattern before ordering, so that the
-        pairs lie within the band and `inverse_entries` can return them.
-    """
+class Analysis:
+    """Symbolic analysis of the pattern of a square CSR matrix A (plus
+    extra_pattern pairs): the RCM permutation, the bandwidth bw of the
+    permuted pattern, and the LAPACK lower band slot of every stored entry in
+    the lower triangle.  Holds no values."""
 
     def __init__(self, A, extra_pattern=None):
-        A = csr_matrix(A)
         n = A.shape[0]
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
+        self.n = n
+        # copies: an in-place change to A's structure (sort_indices) must not
+        # change the pattern this analysis claims to describe
+        self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
+        self.extra = None
+        augmented = A
         if extra_pattern is not None:
             r = np.asarray(extra_pattern[0], dtype=np.int64)
             c = np.asarray(extra_pattern[1], dtype=np.int64)
+            self.extra = (r, c)
             co = A.tocoo()
-            A = coo_matrix(
+            augmented = coo_matrix(
                 (
                     np.concatenate([co.data, np.zeros(2 * len(r))]),
                     (
@@ -70,20 +79,80 @@ class SparseCholesky:
                 ),
                 shape=A.shape,
             ).tocsr()  # sums duplicates, keeps structural zeros
-        self.n = n
-        perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True)) if n else np.arange(0)
+        perm = np.asarray(reverse_cuthill_mckee(augmented, symmetric_mode=True)) \
+            if n else np.arange(0)
         self.perm = perm
-        self._iperm = np.empty(n, dtype=np.int64)
-        self._iperm[perm] = np.arange(n)
+        self.iperm = np.empty(n, dtype=np.int64)
+        self.iperm[perm] = np.arange(n)
 
-        co = A.tocoo()
-        co.sum_duplicates()
-        i, j = self._iperm[co.row], self._iperm[co.col]
-        self.bw = int(np.abs(i - j).max()) if co.nnz else 0
-        low = i >= j
-        ab = np.zeros((self.bw + 1, n), order="F")
-        ab[i[low] - j[low], j[low]] = co.data[low]  # LAPACK lower band storage
-        self._G, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        i, j = self.iperm[rows], self.iperm[A.indices]
+        self.bw = int(np.abs(i - j).max()) if i.size else 0
+        if self.extra is not None and len(r):
+            self.bw = max(self.bw, int(np.abs(self.iperm[r] - self.iperm[c]).max()))
+        self.low = np.flatnonzero(i >= j)  # stored entries in the lower band
+        # [d, col] of the (bw + 1, n) Fortran-ordered band is element
+        # col * (bw + 1) + d of its memory
+        self.slots = j[self.low] * (self.bw + 1) + (i - j)[self.low]
+        self._summed = not A.has_canonical_format and \
+            np.unique(self.slots).size < self.slots.size
+
+    def fits(self, A, extra_pattern=None) -> bool:
+        """Whether A (CSR) with extra_pattern has the analysed pattern."""
+        if A.shape[0] != self.n or (extra_pattern is None) != (self.extra is None):
+            return False
+        if not same_pattern(A, self.indptr, self.indices):
+            return False
+        return extra_pattern is None or all(
+            _same(np.asarray(e), s) for e, s in zip(extra_pattern, self.extra))
+
+    def band(self, data) -> np.ndarray:
+        """The lower band storage of the permuted matrix with stored values
+        `data` (duplicates summed in storage order)."""
+        ab = np.zeros((self.bw + 1, self.n), order="F")
+        flat = ab.ravel(order="F")  # a view of the Fortran-ordered band
+        if self._summed:
+            np.add.at(flat, self.slots, data[self.low])
+        else:
+            flat[self.slots] = data[self.low]
+        return ab
+
+
+def _same(a, b) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
+def same_pattern(A, indptr, indices) -> bool:
+    """Whether the CSR matrix A has the pattern (indptr, indices)."""
+    return _same(A.indptr, indptr) and _same(A.indices, indices)
+
+
+class SparseCholesky:
+    """P A P^T = G G^T with G lower triangular of bandwidth bw.
+
+    Parameters
+    ----------
+    A : sparse matrix, symmetric positive definite
+    extra_pattern : optional (rows, cols) arrays
+        Structural zeros added to A's pattern before ordering, so that the
+        pairs lie within the band and `inverse_entries` can return them.
+    analysis : optional Analysis, e.g. an earlier factor's `analysis`
+        Reused when A and extra_pattern have the pattern it was made for;
+        otherwise the pattern is analysed afresh.  The factor is the same
+        either way.
+    """
+
+    def __init__(self, A, extra_pattern=None, analysis=None):
+        A = A if isinstance(A, csr_matrix) else csr_matrix(A)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError("matrix must be square")
+        if analysis is None or not analysis.fits(A, extra_pattern):
+            analysis = Analysis(A, extra_pattern)
+        self.analysis = analysis
+        self.n, self.bw, self.perm = analysis.n, analysis.bw, analysis.perm
+        self._iperm = analysis.iperm
+        perm = self.perm
+        self._G, info = dpbtrf(analysis.band(A.data), lower=1, overwrite_ab=1)
         if info > 0:
             raise NotSPDError(info - 1, int(perm[info - 1]))
         bad = np.flatnonzero(~np.isfinite(self._G[0]))

@@ -19,6 +19,10 @@ and Q = L (C^{-1}L)^{alpha-1}.
 The blocks, their factors and the diagonal of their summed inverses depend
 on (mesh, kappa, alpha, m) only; tau is applied where they are used, so
 models that differ only in tau share them (see variance_stationary_model).
+Every matrix on the operator's pattern (L, L - p_i C, the blocks for
+alpha <= 1 and the tail block L / k for 1 < alpha < 2) shares the mesh's
+symbolic analysis of that pattern; blocks of one model that share another
+pattern (the product blocks) share the analysis of the first of them.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .assembly import operator_matrix, positive_coefficient, coefficient_at_nodes
-from .cholesky import NotSPDError, SparseCholesky
+from .assembly import (coefficient_at_nodes, operator_matrix, positive_coefficient,
+                       shift_diagonal)
+from .cholesky import Analysis, NotSPDError, SparseCholesky, same_pattern
 from .fractional import (ORDER_CAP, PartialFractions, brasil, calibrate_order,
                          partial_fractions)
 from .graph import GraphPoint
@@ -117,18 +122,23 @@ class FieldModel:
         return self.mesh.N
 
     def _lambda_power(self, n: int):
-        """Sparse (C^{-1} L)^n."""
+        """Sparse (C^{-1} L)^n, or None for n = 0."""
+        if n == 0:
+            return None
         S = diags(1.0 / self.c_diag) @ self.L
-        P = None
-        for _ in range(n):
-            P = S if P is None else P @ S
+        P = S
+        for _ in range(n - 1):
+            P = P @ S
         return P
+
+    def _shifted(self, p: float) -> csr_matrix:
+        """L - p C on L's pattern."""
+        return shift_diagonal(self.mesh, self.L, -p * self.c_diag)
 
     def _tau_free_blocks(self) -> list[csr_matrix]:
         """The m+1 tau-free blocks Q_i (a single block for integer alpha)."""
         if self._core.blocks:
             return self._core.blocks
-        Cd = diags(self.c_diag)
         n = int(math.floor(self.alpha))
         blocks = []
         if self.rational is None:
@@ -138,12 +148,12 @@ class FieldModel:
         else:
             P = self._lambda_power(n)
             for r, p in zip(self.rational.residues, self.rational.poles):
-                Lp = (self.L - p * Cd).tocsr()
+                Lp = self._shifted(p)
                 Q = Lp if P is None else Lp @ P
                 blocks.append(_sym(Q) / r)
             k = self.rational.k
             if n == 0:
-                Kinv = Cd / k
+                Kinv = diags(self.c_diag) / k
             else:
                 Pm1 = self._lambda_power(n - 1)
                 Kinv = (self.L if Pm1 is None else self.L @ Pm1) / k
@@ -163,21 +173,36 @@ class FieldModel:
         return out
 
     def block_factors(self) -> list[SparseCholesky]:
-        """Cholesky factors of the tau-free blocks Q_i."""
+        """Cholesky factors of the tau-free blocks Q_i.  A block reuses the
+        analysis of the block before it when their patterns agree, and the
+        mesh's analysis of L's pattern when it has that pattern."""
         if not self._core.factors:
             factors = []
+            analysis = None
             for i, Q in enumerate(self._tau_free_blocks()):
+                if analysis is None or not analysis.fits(Q):
+                    analysis = self._operator_analysis(Q)
                 try:
-                    factors.append(SparseCholesky(Q))
+                    factors.append(SparseCholesky(Q, analysis=analysis))
                 except NotSPDError as err:
                     raise FieldError(f"precision block {i} not SPD: pivot "
                                      f"{err.pivot_index} at mesh node {err.row}") from err
+                analysis = factors[-1].analysis
             self._core.factors = factors
         return self._core.factors
 
+    def _operator_analysis(self, M):
+        """The mesh's analysis of L's pattern if M has that pattern, else None."""
+        if not same_pattern(M, self.L.indptr, self.L.indices):
+            return None
+        cache = self.mesh.matrix_cache
+        if "operator_analysis" not in cache:
+            cache["operator_analysis"] = Analysis(self.L)
+        return cache["operator_analysis"]
+
     def _operator_factor(self) -> SparseCholesky:
         if self._L_factor is None:
-            self._L_factor = SparseCholesky(self.L)
+            self._L_factor = SparseCholesky(self.L, analysis=self._operator_analysis(self.L))
         return self._L_factor
 
     # -- covariance --------------------------------------------------------------
@@ -208,9 +233,8 @@ class FieldModel:
             X = lam_inv_pow(Lf.solve(Rt), int(self.alpha) - 1)
         else:
             acc = np.zeros_like(Rt)
-            Cd = diags(self.c_diag)
             for r, p in zip(self.rational.residues, self.rational.poles):
-                F = SparseCholesky(_sym(self.L - p * Cd))
+                F = SparseCholesky(_sym(self._shifted(p)), analysis=Lf.analysis)
                 acc += r * F.solve(Rt)
             X = lam_inv_pow(acc, n)
             k = self.rational.k
@@ -281,7 +305,15 @@ class FieldModel:
 
 
 def _sym(M) -> csr_matrix:
-    M = csr_matrix(M)
+    """(M + M^T) / 2 after checking that M is symmetric to 1e-8 relative; an
+    exactly symmetric M in canonical form with no stored zeros is returned
+    as it is, which is what (M + M^T) / 2 would give entry for entry."""
+    M = M if isinstance(M, csr_matrix) else csr_matrix(M)
+    T = M.T.tocsr()
+    if (M.has_canonical_format and np.array_equal(M.indptr, T.indptr)
+            and np.array_equal(M.indices, T.indices) and np.array_equal(M.data, T.data)
+            and M.data.all()):
+        return M
     asym = abs(M - M.T)
     scale = max(abs(M).max(), 1.0)
     if asym.nnz and asym.max() > 1e-8 * scale:

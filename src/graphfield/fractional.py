@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import svd
-from scipy.optimize import brentq
 
 
 class RationalError(RuntimeError):
@@ -306,6 +305,8 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
             f"expected {m} simple poles, found {len(idx)} sign changes "
             "(repeated or complex poles)"
         )
+    from scipy.optimize import brentq  # imported here: scipy.optimize is slow to import
+
     xpoles = np.empty(m)
     for i, g in enumerate(idx):
         v = brentq(lambda lv: h(math.exp(lv)), math.log(grid[g]), math.log(grid[g + 1]),

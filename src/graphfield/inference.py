@@ -8,6 +8,12 @@ X ~ N(0, blockdiag(Q_i)^{-1}), Abar = [A ... A].  The kriging predictor
 solves (Abar' Abar / sigma_e^2 + Q) mu = Abar' y / sigma_e^2; the exact
 Gaussian marginal likelihood uses the matrix determinant lemma on the same
 factorization.
+
+The pattern of that posterior precision depends on the mesh, the
+observation locations and the blocks' patterns only.  An observation set
+keeps, per mesh, A, A', A'A, the stacked pattern with the slot of every
+block and A'A entry in it, and the symbolic analyses of its factors, so a
+likelihood evaluation only fills values into fixed structure.
 """
 
 from __future__ import annotations
@@ -16,11 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
+from scipy.sparse import coo_matrix, csr_matrix
 
-from .cholesky import SparseCholesky
+from .cholesky import SparseCholesky, same_pattern
 from .field import FieldModel, log_linear, variance_stationary_model
 from .graph import GraphPoint
 from .mesh import Mesh
@@ -30,6 +35,67 @@ class InferenceError(ValueError):
     pass
 
 
+class _ObservationMemo:
+    """Structure of an observation set on one mesh: A, A', A'A and the
+    stacked posterior pattern of the last block patterns it served."""
+
+    def __init__(self):
+        self.mesh = None
+
+    def reset(self, mesh: Mesh, points):
+        self.mesh = mesh
+        self.A = mesh.basis_matrix(points)
+        self.At = self.A.T
+        self.AtA = self.At @ self.A
+        self.stacked = None
+
+    def stacked_for(self, blocks) -> _StackedPattern:
+        st = self.stacked
+        if st is None or not st.serves(blocks):
+            st = self.stacked = _StackedPattern(blocks, self.AtA)
+        return st
+
+
+class _StackedPattern:
+    """Pattern of Qpost = blockdiag(Q_1..Q_K) + J (x) A'A with J the K x K
+    ones, in CSR form with sorted indices, and the slots of the blocks'
+    entries and of the K^2 copies of A'A's entries in its data; plus the
+    symbolic analyses of its factors (with and without the forced cross-block
+    pairs of the variance)."""
+
+    def __init__(self, blocks, AtA):
+        self.patterns = [(Q.indptr.copy(), Q.indices.copy()) for Q in blocks]
+        N, K = AtA.shape[0], len(blocks)
+        self.K, self.shape = K, (K * N, K * N)
+        q_rows = np.concatenate([np.repeat(np.arange(N) + i * N, np.diff(Q.indptr))
+                                 for i, Q in enumerate(blocks)])
+        q_cols = np.concatenate([Q.indices + i * N for i, Q in enumerate(blocks)])
+        a = AtA.tocoo()
+        r, c = np.divmod(np.arange(K * K), K)
+        b_rows = (a.row + N * r[:, None]).ravel()
+        b_cols = (a.col + N * c[:, None]).ravel()
+        rows, cols = np.concatenate((q_rows, b_rows)), np.concatenate((q_cols, b_cols))
+        pattern = coo_matrix((np.ones(rows.size), (rows, cols)), shape=self.shape).tocsr()
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        # row * KN + col over the canonical CSR pattern is increasing
+        keys = np.repeat(np.arange(K * N, dtype=np.int64), np.diff(self.indptr)) * (K * N) \
+            + self.indices
+        self.q_slots = np.searchsorted(keys, q_rows.astype(np.int64) * (K * N) + q_cols)
+        self.b_slots = np.searchsorted(keys, b_rows.astype(np.int64) * (K * N) + b_cols)
+        self.analysis = None
+        self.variance_analysis = None
+
+    def serves(self, blocks) -> bool:
+        return len(blocks) == self.K and all(
+            same_pattern(Q, *pattern) for Q, pattern in zip(blocks, self.patterns))
+
+    def matrix(self, blocks, AtA_scaled) -> csr_matrix:
+        data = np.zeros(self.indices.size)
+        data[self.q_slots] = np.concatenate([Q.data for Q in blocks])
+        data[self.b_slots] += np.tile(AtA_scaled, self.K * self.K)
+        return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
 @dataclass
 class ObservationSet:
     """Noisy point observations; values may carry replicates as columns."""
@@ -37,7 +103,8 @@ class ObservationSet:
     points: list
     values: np.ndarray        # (n,) or (n, n_replicates)
     sigma_e: float
-    _basis: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _memo: _ObservationMemo = field(default_factory=_ObservationMemo, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -60,15 +127,19 @@ class ObservationSet:
     def basis_matrix(self, mesh: Mesh):
         """Observation matrix A[i, j] = psi_j(points[i]) on `mesh`, built once
         per mesh."""
-        if self._basis[0] is not mesh:
-            self._basis = (mesh, mesh.basis_matrix(self.points))
-        return self._basis[1]
+        return self._structure(mesh).A
+
+    def _structure(self, mesh: Mesh) -> _ObservationMemo:
+        if self._memo.mesh is not mesh:
+            self._memo.reset(mesh, self.points)
+        return self._memo
 
     def with_sigma_e(self, sigma_e: float) -> "ObservationSet":
         """The same observations under another noise level, sharing the
-        observation matrix built so far."""
+        per-mesh structure (observation matrix, stacked pattern, analyses)
+        with this set, including what either builds later."""
         out = ObservationSet(self.points, self.values, sigma_e)
-        out._basis = self._basis
+        out._memo = self._memo
         return out
 
 
@@ -82,21 +153,21 @@ class PosteriorSummary:
 
 
 def _stacked_system(model: FieldModel, obs: ObservationSet):
-    A = obs.basis_matrix(model.mesh)
-    K = model.n_blocks
-    B = (A.T @ A) / obs.sigma_e**2
-    Q = sparse.block_diag(model.precision_blocks(), format="csr")
-    Qpost = (Q + sparse.kron(np.ones((K, K)), B)).tocsr()
-    return A, K, Qpost
+    """(memo, stacked pattern, Qpost): the posterior precision of the stacked
+    blocks, filled into the observation set's fixed pattern."""
+    memo = obs._structure(model.mesh)
+    blocks = model.precision_blocks()
+    st = memo.stacked_for(blocks)
+    return memo, st, st.matrix(blocks, memo.AtA.data * (1 / obs.sigma_e**2))
 
 
 def kriging(model: FieldModel, obs: ObservationSet,
             compute_variance: bool = False) -> PosteriorSummary:
     """Posterior mean (and optionally marginal variances) of the field weights
     given the observations."""
-    A, K, Qpost = _stacked_system(model, obs)
-    N = model.N
-    rhs_block = (A.T @ obs.matrix) / obs.sigma_e**2
+    memo, st, Qpost = _stacked_system(model, obs)
+    N, K = model.N, st.K
+    rhs_block = (memo.At @ obs.matrix) / obs.sigma_e**2
     rhs = np.tile(rhs_block, (K, 1))
     variance = None
     if compute_variance:
@@ -106,10 +177,12 @@ def kriging(model: FieldModel, obs: ObservationSet,
         r, s = np.divmod(np.arange(K * K), K)
         rows = (i + N * r[:, None]).ravel()
         cols = (i + N * s[:, None]).ravel()
-        F = SparseCholesky(Qpost, extra_pattern=(rows, cols))
+        F = SparseCholesky(Qpost, extra_pattern=(rows, cols), analysis=st.variance_analysis)
+        st.variance_analysis = F.analysis
         variance = F.inverse_entries(rows, cols).reshape(K * K, N).sum(axis=0)
     else:
-        F = SparseCholesky(Qpost)
+        F = SparseCholesky(Qpost, analysis=st.analysis)
+        st.analysis = F.analysis
     sol = F.solve(rhs)
     mean = sol.reshape(K, N, -1).sum(axis=0)
     if obs.values.ndim == 1:
@@ -142,12 +215,14 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     least squares.  Replicates contribute independent terms.  Returns
     (loglik, beta).
     """
-    A, K, Qpost = _stacked_system(model, obs)
+    memo, st, Qpost = _stacked_system(model, obs)
+    A, At, K = memo.A, memo.At, st.K
     n = obs.n
     s2 = obs.sigma_e**2
     Y = obs.matrix
     R = Y.shape[1]
-    Fq = SparseCholesky(Qpost)
+    Fq = SparseCholesky(Qpost, analysis=st.analysis)
+    st.analysis = Fq.analysis
     # log det(T Q_i T) = log det Q_i + 2 sum(log tau) for each of the K blocks
     logdet_q = sum(f.logdet() for f in model.block_factors()) \
         + 2 * K * float(np.sum(np.log(model.tau_nodes)))
@@ -157,8 +232,8 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
         # Sigma_y^{-1} V via the Woodbury identity on the stacked system
         V = np.asarray(V, float)
         vv = V[:, None] if V.ndim == 1 else V
-        At = np.tile((A.T @ vv) / s2, (K, 1))
-        core = Fq.solve(At).reshape(K, model.N, -1).sum(axis=0)
+        Atv = np.tile((At @ vv) / s2, (K, 1))
+        core = Fq.solve(Atv).reshape(K, model.N, -1).sum(axis=0)
         out = vv / s2 - (A @ core) / s2
         return out if V.ndim > 1 else out[:, 0]
 
@@ -345,6 +420,8 @@ def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
         alpha = float(spec.alpha)
 
     if len(x0):
+        from scipy.optimize import minimize  # imported here: scipy.optimize is slow to import
+
         xbest, success = x0, False
         for _ in range(max(1, restarts + 1)):
             res = minimize(objective, xbest, args=(alpha,), method="Nelder-Mead",

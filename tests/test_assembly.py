@@ -213,3 +213,27 @@ def test_assembly_matches_per_segment_reference(mesh, kappa0):
         assert mesh.eval_basis(GraphPoint(int(e), float(t))) == [(i, 1.0)]
     assert np.abs(G @ np.ones(mesh.N)).max() <= 1e-12 * np.abs(G.data).max()
     assert C.sum() == pytest.approx(mesh.graph.total_length, rel=1e-12)
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=random_meshes(), k0=st.floats(0.3, 6.0))
+def test_operator_matrix_bit_identical_to_sparse_sum(mesh, k0):
+    kappa = k0 * np.exp(0.3 * np.sin(np.arange(mesh.N)))
+    L, c = operator_matrix(mesh, kappa)
+    c_ref = lump_mass(assemble_mass(mesh))
+    d = kappa**2 * c_ref
+    ref = (assemble_stiffness(mesh)
+           + csr_matrix((d, (range(mesh.N), range(mesh.N))), shape=L.shape)).tocsr()
+    assert_same_csr(L, ref)
+    assert np.array_equal(c, c_ref)
+    assert np.array_equal(kappa_mass_diagonal(mesh, kappa), d)
+    # the lumped mass is computed once per mesh and cannot be changed in place
+    assert operator_matrix(mesh, 1.0)[1] is c
+    with pytest.raises(ValueError):
+        c[0] = 1.0

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg.lapack import dpotrf
 
-from graphfield.assembly import operator_matrix
-from graphfield.cholesky import NotSPDError, SparseCholesky
+from graphfield.assembly import operator_matrix, shift_diagonal
+from graphfield.cholesky import Analysis, NotSPDError, SparseCholesky
 from graphfield.graph import tadpole_graph
 from graphfield.mesh import build_mesh
 
@@ -133,3 +133,94 @@ def test_factor_properties_on_random_graphs(A, flip):
     assert f"row {j})" in str(err.value)
     _, info = dpotrf(B.toarray()[F.perm][:, F.perm], lower=1)
     assert info - 1 == k
+
+
+def assert_same_factor(got, want):
+    """Bit-for-bit equality of two factors and of what they compute."""
+    assert got.bw == want.bw
+    assert np.array_equal(got.perm, want.perm)
+    assert np.array_equal(got._G, want._G)
+    b = np.linspace(-1.0, 1.0, want.n)
+    assert np.array_equal(got.solve(b), want.solve(b))
+    assert got.logdet() == want.logdet()
+    assert np.array_equal(got.selected_inverse(), want.selected_inverse())
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=random_meshes(), kappa=st.floats(0.5, 5.0), shift=st.floats(0.1, 10.0))
+def test_reused_analysis_gives_the_fresh_factor(mesh, kappa, shift):
+    L, c = operator_matrix(mesh, kappa)
+    first = SparseCholesky(L)
+    A = shift_diagonal(mesh, L, shift * c)  # L's pattern, other values
+    reused = SparseCholesky(A, analysis=first.analysis)
+    assert reused.analysis is first.analysis
+    assert_same_factor(reused, SparseCholesky(A))
+    # a pattern held in fresh (equal, not identical) index arrays is reused too
+    B = sparse.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+    assert SparseCholesky(B, analysis=first.analysis).analysis is first.analysis
+    # the same holds with forced pairs
+    n = L.shape[0]
+    extra = (np.array([0, 1]), np.array([n - 1, n - 2]))
+    forced = SparseCholesky(L, extra_pattern=extra)
+    reused = SparseCholesky(A, extra_pattern=(extra[0].copy(), extra[1].copy()),
+                            analysis=forced.analysis)
+    assert reused.analysis is forced.analysis
+    assert_same_factor(reused, SparseCholesky(A, extra_pattern=extra))
+    assert np.array_equal(reused.inverse_entries(*extra),
+                          SparseCholesky(A, extra_pattern=extra).inverse_entries(*extra))
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=random_meshes(), kappa=st.floats(0.5, 5.0))
+def test_other_pattern_is_analysed_afresh(mesh, kappa):
+    L, c = operator_matrix(mesh, kappa)
+    analysis = SparseCholesky(L).analysis
+    n = L.shape[0]
+    # a wider pattern, the same pattern renumbered, a pattern with one
+    # off-diagonal pair dropped, and L's pattern with other forced pairs
+    wider = sparse.csr_matrix(L @ sparse.diags(1.0 / c) @ L)
+    order = np.random.default_rng(n).permutation(n)
+    renumbered = sparse.csr_matrix(L[order][:, order])
+    dropped = L.tolil()
+    i, j = mesh.seg_nodes[0]
+    if i != j:
+        dropped[i, j] = dropped[j, i] = 0.0
+    dropped = sparse.csr_matrix(dropped)
+    dropped.eliminate_zeros()
+    for A, extra in ((wider, None), (renumbered, None), (dropped, None),
+                     (L, ([0], [n - 1]))):
+        F = SparseCholesky(A, extra_pattern=extra, analysis=analysis)
+        assert F.analysis is not analysis
+        assert_same_factor(F, SparseCholesky(A, extra_pattern=extra))
+        assert np.abs(A @ F.solve(np.ones(n)) - 1.0).max() < 1e-8
+
+
+def test_analysis_without_values_matches_the_factor(operator):
+    an = Analysis(operator)
+    F = SparseCholesky(operator)
+    assert an.bw == F.bw and np.array_equal(an.perm, F.perm)
+    assert SparseCholesky(operator, analysis=an).analysis is an
+
+
+def test_duplicate_entries_are_summed_on_reuse():
+    A = sparse.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    # the (1, 1) entry stored twice, as 3 + 1
+    dup = sparse.csr_matrix((np.array([4.0, 1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 4.0]),
+                             np.array([0, 1, 0, 1, 1, 2, 1, 2]),
+                             np.array([0, 2, 6, 8])), shape=(3, 3))
+    assert_same_factor(SparseCholesky(dup), SparseCholesky(A))
+    first = SparseCholesky(dup)
+    assert_same_factor(SparseCholesky(dup, analysis=first.analysis), SparseCholesky(A))
+
+
+def test_analysis_survives_in_place_sorting_of_the_matrix(operator):
+    # the same matrix stored with each row's indices reversed (not sorted)
+    A = operator
+    rows = [slice(A.indptr[i], A.indptr[i + 1]) for i in range(A.shape[0])]
+    order = np.concatenate([np.arange(r.start, r.stop)[::-1] for r in rows])
+    B = sparse.csr_matrix((A.data[order], A.indices[order], A.indptr.copy()), shape=A.shape)
+    first = SparseCholesky(B)
+    B.sort_indices()  # in place: B's index arrays now hold A's pattern
+    F = SparseCholesky(B, analysis=first.analysis)
+    assert F.analysis is not first.analysis
+    assert_same_factor(F, SparseCholesky(A))

@@ -271,3 +271,19 @@ def test_non_finite_expression_reported(tmp_path, capsys, expr):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {expr!r} is not finite at node ") and "(edge " in err
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import graphfield
+
+    src = os.path.dirname(os.path.dirname(graphfield.__file__))
+    code = ("import sys, graphfield.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from graphfield.assembly import lump_mass, assemble_mass
 from graphfield.cholesky import SparseCholesky
 from graphfield.exprs import CoefficientExpression
-from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
+from graphfield.field import (FieldModel, FieldError, _sym, log_regression_coefficients,
                               variance_stationary_model)
 from graphfield.fractional import ORDER_CAP
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
 from graphfield.inference import ObservationSet, log_likelihood
 from graphfield.mesh import build_mesh
 from graphfield.oracle import spectral_discrete_cov
+
+from strategies import random_meshes
 
 
 @pytest.fixture
@@ -336,3 +340,75 @@ def test_hardest_benchmark_input_within_tolerance():
     assert base.m == 16 and mesh.N == 1500
     want = np.diag(base.covariance())
     assert np.abs(base.marginal_variance() - want).max() < 1e-8 * np.abs(want).max()
+
+
+def assert_same_csr(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+def reference_sym(M):
+    """The symmetrization (M + M^T) / 2 as scipy forms it."""
+    M = csr_matrix(M)
+    return ((M + M.T) * 0.5).tocsr()
+
+
+@settings(max_examples=15, deadline=None)
+@given(mesh=random_meshes(), k0=st.floats(0.5, 5.0), alpha=st.sampled_from([0.6, 0.75, 0.9]))
+def test_first_order_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
+    kappa = k0 * np.exp(0.2 * np.cos(np.arange(mesh.N)))
+    model = FieldModel.build(mesh, alpha, kappa, 1.0, m=3)
+    Cd = diags(model.c_diag)
+    blocks = model.precision_blocks()
+    for Q, r, p in zip(blocks, model.rational.residues, model.rational.poles):
+        assert_same_csr(Q, reference_sym((model.L - p * Cd).tocsr()) / r)
+    assert_same_csr(blocks[-1], reference_sym(Cd / model.rational.k))
+
+
+def test_integer_alpha_one_block_is_the_operator():
+    mesh = build_mesh(tadpole_graph(), 0.05)
+    model = FieldModel.build(mesh, 1.0, 2.0, 1.0)
+    (Q,) = model.precision_blocks()
+    assert_same_csr(Q, reference_sym(model.L))
+
+
+def test_sym_keeps_symmetric_input_and_checks_the_rest():
+    M = csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.0]]))
+    assert _sym(M) is M
+    near = M.toarray()
+    near[0, 1] += 1e-12
+    near = csr_matrix(near)
+    assert_same_csr(_sym(near), reference_sym(near))
+    stored_zero = csr_matrix((np.array([1.0, 0.0, 0.0, 1.0]), np.array([0, 1, 0, 1]),
+                              np.array([0, 2, 4])), shape=(2, 2))
+    assert_same_csr(_sym(stored_zero), reference_sym(stored_zero))
+    asym = M.toarray()
+    asym[0, 1] = -0.9
+    with pytest.raises(FieldError, match="asymmetric"):
+        _sym(csr_matrix(asym))
+
+
+def count_orderings(monkeypatch):
+    import graphfield.cholesky as cholesky
+
+    calls = []
+    rcm = cholesky.reverse_cuthill_mckee
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(cholesky, "reverse_cuthill_mckee", counting)
+    return calls
+
+
+def test_blocks_sharing_a_pattern_share_one_ordering(monkeypatch):
+    calls = count_orderings(monkeypatch)
+    mesh = build_mesh(tadpole_graph(), 0.02)
+    model = variance_stationary_model(mesh, 2.0, 1.4, sigma0=1.0, m=16)
+    model.marginal_std()
+    assert model.n_blocks == 17
+    assert len(calls) <= 2
+    factors = model.block_factors()
+    assert all(F.analysis is factors[0].analysis for F in factors[:16])

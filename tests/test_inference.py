@@ -301,3 +301,47 @@ def test_fit_variance_stationary_model():
     assert abs(res.params["log_sigma0"] - math.log(1.5)) < 0.15
     # the fitted model is itself variance stationary
     assert np.ptp(res.model.marginal_variance()) < 1e-10
+
+
+def test_shared_observation_structure_changes_no_bit():
+    """Models of several patterns and noise levels through one observation
+    set (and its with_sigma_e copies) give exactly what a fresh set gives."""
+    mesh = build_mesh(tadpole_graph(), 0.08)
+    rng = np.random.default_rng(8)
+    tau = np.exp(0.2 * rng.standard_normal(mesh.N))
+    shared = random_obs(FieldModel.build(mesh, 1.0, 2.0, 1.0), 25, 4, replicates=2)
+    design = np.column_stack([np.ones(shared.n), np.linspace(-1, 1, shared.n)])
+    runs = [(alpha, kappa, sigma) for _ in range(2)
+            for alpha in (1.0, 0.9, 1.4) for kappa in (2.0, 3.5) for sigma in (0.3, 0.7)]
+    for alpha, kappa, sigma in runs:
+        model = FieldModel.build(mesh, alpha, kappa, tau, m=2 if alpha % 1 else None)
+        obs = shared.with_sigma_e(sigma)
+        fresh = ObservationSet(shared.points, shared.values, sigma)
+        ll, beta = log_likelihood(model, obs, design=design)
+        ll_ref, beta_ref = log_likelihood(model, fresh, design=design)
+        assert ll == ll_ref and np.array_equal(beta, beta_ref)
+        fresh = ObservationSet(shared.points, shared.values, sigma)
+        got, want = kriging(model, obs, True), kriging(model, fresh, True)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.variance, want.variance)
+        assert obs.basis_matrix(mesh) is shared.basis_matrix(mesh)
+
+
+def test_fit_orders_each_pattern_once(monkeypatch):
+    import graphfield.cholesky as cholesky
+
+    calls = []
+    rcm = cholesky.reverse_cuthill_mckee
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(cholesky, "reverse_cuthill_mckee", counting)
+    mesh = build_mesh(star_graph(4), 0.1)
+    obs = random_obs(FieldModel.build(mesh, 1.0, 2.0, 1.0), 40, 6, replicates=2)
+    spec = ModelSpec(alpha=1.0, kappa=LogRegression(None, []),
+                     tau=LogRegression(None, []), sigma_e="estimate")
+    res = fit(spec, mesh, obs, design=np.ones(obs.n), max_evaluations=100, restarts=0)
+    assert res.n_evaluations >= 100
+    assert len(calls) <= 4
