@@ -319,10 +319,11 @@ def cmd_fit(args):
         "loglik": result.loglik,
         "converged": result.converged,
         "n_evaluations": result.n_evaluations,
+        "gradient_norm": result.gradient_norm,
     }
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
-    _write_manifest(args.out, args, t0)
+    _write_manifest(args.out, args, t0, {"gradient_norm": result.gradient_norm})
     print(json.dumps(out, indent=1))
     return 0
 

@@ -191,6 +191,81 @@ class FieldModel:
             self._core.factors = factors
         return self._core.factors
 
+    # -- derivatives with respect to log kappa and log tau --------------------------
+
+    def precision_gradient(self, weights, logdet_scale: float):
+        """Gradient of sum_i <W_i, T Q_i T> - logdet_scale * sum_i log det(T Q_i T),
+        with <W, Q> summed entrywise over block i's pattern and the weights W_i
+        held fixed, with respect to log kappa and log tau at the nodes.
+        weights[i] is aligned with the data of precision_blocks()[i].  The log
+        det term takes tr(Q_i^{-1} dQ_i) from one band selected inversion per
+        block factor.  Returns (d / d log kappa, d / d log tau)."""
+        tau = self.tau_nodes
+        tau_free = []
+        # d log det(T Q_i T) / d log tau = 2 per node and block
+        d_tau = np.full(self.N, -2.0 * self.n_blocks * logdet_scale)
+        for Q, F, w in zip(self._tau_free_blocks(), self.block_factors(), weights):
+            rows = np.repeat(np.arange(self.N), np.diff(Q.indptr))
+            v = w * (tau[rows] * tau[Q.indices])
+            # d(T Q T) / d log tau_a scales entry (a, b) by [a] + [b]
+            d_tau += 2 * np.bincount(rows, v * Q.data, minlength=self.N)
+            tau_free.append(v - logdet_scale * F.inverse_entries(rows, Q.indices))
+        return self._kappa_gradient(tau_free), d_tau
+
+    def _kappa_gradient(self, weights) -> np.ndarray:
+        """d/d log kappa of sum_i <V_i, Q_i> for tau-free weights V_i on the
+        blocks' patterns.
+
+        Every block that depends on L is s (L + sigma C)(C^{-1}L)^q; with
+        dL = diag(d), d = 2 kappa^2 C dlog kappa, its derivative is the sum over
+        the L-factors of A diag(d) B (A, B the products before and after,
+        C^{-1} folded into A), and <V, A diag(d) B> = d . rowsum((A'V) o B).
+        The rational coefficients depend on b = 1 / min(kappa)^2 (residues as
+        b^(a-1), poles as 1/b, k as b^a), which adds -2 sum_i <V_i, dQ_i/dlog b>
+        at the node where kappa is smallest (the first such node on ties).
+        """
+        c = self.c_diag
+        n = int(math.floor(self.alpha))
+        # (C^{-1}L)^j for j = 0..max q (None for j = 0)
+        power = [self._lambda_power(j) for j in range(n if self.rational is None else n + 1)]
+        h = np.zeros(self.N)
+        dlog_b = 0.0
+        for i, (Q, v) in enumerate(zip(self._tau_free_blocks(), weights)):
+            V = csr_matrix((v, Q.indices, Q.indptr), shape=Q.shape)
+            if self.rational is None:
+                scale, A, q = 1.0, self.L, n - 1
+            else:
+                a = self.rational.alpha_frac
+                if i == self.m:  # the tail block, proportional to 1 / k
+                    dlog_b -= a * float(v @ Q.data)
+                    if n == 0:
+                        continue
+                    scale, A, q = 1.0 / self.rational.k, self.L, n - 1
+                else:
+                    r, p = self.rational.residues[i], self.rational.poles[i]
+                    scale, A, q = 1.0 / r, self._shifted(p), n
+                    # dQ/dlog b = (p / r) C (C^{-1}L)^n - (a - 1) Q, where
+                    # C (C^{-1}L)^n = L (C^{-1}L)^(n-1) for n >= 1
+                    if n == 0:
+                        CMn = V.diagonal() @ c
+                    else:
+                        P = power[n - 1]
+                        CMn = float(V.multiply(self.L if P is None else self.L @ P).sum())
+                    dlog_b += p / r * CMn - (a - 1) * float(v @ Q.data)
+            # the L-factors of A (C^{-1}L)^q, first A itself, then each C^{-1}L
+            for t in range(q + 1):
+                AV = V if t == 0 else A.T @ V
+                B = power[q - t]
+                term = AV.diagonal() if B is None else \
+                    np.asarray(AV.multiply(B).sum(axis=1)).ravel()
+                h += scale * (term if t == 0 else term / c)
+                if t:
+                    A = A @ power[1]
+        out = 2 * self.kappa_nodes**2 * c * h
+        if self.rational is not None:
+            out[np.argmin(self.kappa_nodes)] -= 2 * dlog_b
+        return out
+
     def _operator_analysis(self, M):
         """The mesh's analysis of L's pattern if M has that pattern, else None."""
         if not same_pattern(M, self.L.indptr, self.L.indices):

@@ -155,22 +155,7 @@ class MetricGraph:
 
     def geodesic(self, a: GraphPoint, b: GraphPoint) -> float:
         """Shortest-path (geodesic) distance between two points."""
-        a = self.check_point(a)
-        b = self.check_point(b)
-        D = self.vertex_distances()
-        ea, eb = self.edges[a.edge], self.edges[b.edge]
-        ia = (self._vid_index[ea.u], self._vid_index[ea.v])
-        ib = (self._vid_index[eb.u], self._vid_index[eb.v])
-        # distances from each point to its own edge endpoints
-        da = (a.t, ea.length - a.t)
-        db = (b.t, eb.length - b.t)
-        best = math.inf
-        for i in range(2):
-            for j in range(2):
-                best = min(best, da[i] + D[ia[i], ib[j]] + db[j])
-        if a.edge == b.edge:
-            best = min(best, abs(a.t - b.t))
-        return float(best)
+        return float(self.geodesic_matrix([a, b])[0, 1])
 
     def geodesic_matrix(self, points: list[GraphPoint]) -> np.ndarray:
         """Pairwise geodesic distances for a list of points (vectorized)."""

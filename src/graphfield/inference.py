@@ -7,7 +7,8 @@ gives the hierarchical form y | X ~ N(F beta + Abar X, sigma_e^2 I),
 X ~ N(0, blockdiag(Q_i)^{-1}), Abar = [A ... A].  The kriging predictor
 solves (Abar' Abar / sigma_e^2 + Q) mu = Abar' y / sigma_e^2; the exact
 Gaussian marginal likelihood uses the matrix determinant lemma on the same
-factorization.
+factorization, and its gradient in log kappa, log tau and log sigma_e reads
+the selected inverse of that factorization.  `fit` maximizes it by L-BFGS-B.
 
 The pattern of that posterior precision depends on the mesh, the
 observation locations and the blocks' patterns only.  An observation set
@@ -27,6 +28,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from .cholesky import SparseCholesky, same_pattern
 from .field import FieldModel, log_linear, variance_stationary_model
+from .fractional import RationalError
 from .graph import GraphPoint
 from .mesh import Mesh
 
@@ -207,13 +209,35 @@ def kriging_covariance_form(model: FieldModel, obs: ObservationSet) -> Posterior
 # -- marginal likelihood -------------------------------------------------------------
 
 
-def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=None):
+@dataclass
+class LikelihoodGradient:
+    """Derivatives of the log-likelihood with respect to log kappa and log tau
+    at the mesh nodes and to log sigma_e, with beta held at its value."""
+
+    log_kappa: np.ndarray
+    log_tau: np.ndarray
+    log_sigma_e: float
+
+
+def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=None,
+                   gradient: bool = False):
     """Exact Gaussian marginal log-likelihood of the observations.
 
     design is the fixed-effects matrix F at the observation locations; when
     beta is None and a design is given, beta is profiled out by generalized
     least squares.  Replicates contribute independent terms.  Returns
-    (loglik, beta).
+    (loglik, beta), or (loglik, beta, LikelihoodGradient) with gradient=True.
+
+    The gradient reuses the stacked factor.  With Z = Qpost^{-1}, mu_r the
+    stacked posterior mean of replicate r and e_r = r_r - Abar mu_r,
+
+        d(-2 loglik) = R (<Z, dQpost> - sum_i tr(Q_i^{-1} dQ_i))
+                       + sum_r mu_r' dQpost mu_r - 2 sum_r |e_r|^2 dlog sigma_e / sigma_e^2,
+
+    the last two terms by the envelope theorem on the quadratic form's
+    minimization over the field (and over beta when it is profiled).  Z is
+    read on Qpost's pattern from one selected inversion, and tr(Q_i^{-1} dQ_i)
+    from one band selected inversion per block factor.
     """
     memo, st, Qpost = _stacked_system(model, obs)
     A, At, K = memo.A, memo.At, st.K
@@ -229,20 +253,18 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     logdet_sy = Fq.logdet() - logdet_q + n * math.log(s2)
 
     def siginv(V):
-        # Sigma_y^{-1} V via the Woodbury identity on the stacked system
-        V = np.asarray(V, float)
-        vv = V[:, None] if V.ndim == 1 else V
-        Atv = np.tile((At @ vv) / s2, (K, 1))
-        core = Fq.solve(Atv).reshape(K, model.N, -1).sum(axis=0)
-        out = vv / s2 - (A @ core) / s2
-        return out if V.ndim > 1 else out[:, 0]
+        # Sigma_y^{-1} V via the Woodbury identity on the stacked system, and
+        # the stacked posterior mean Qpost^{-1} Abar' V / s2, for V (n, p)
+        mu = Fq.solve(np.tile((At @ V) / s2, (K, 1)))
+        core = mu.reshape(K, model.N, -1).sum(axis=0)
+        return V / s2 - (A @ core) / s2, mu
 
     if design is not None:
         Fd = np.asarray(design, float)
         if Fd.ndim == 1:
             Fd = Fd[:, None]
         if beta is None:
-            SiF = siginv(Fd)
+            SiF, _ = siginv(Fd)
             M = Fd.T @ SiF
             rhs = SiF.T @ Y.sum(axis=1)
             beta = np.atleast_1d(np.linalg.solve(R * M, rhs))
@@ -252,9 +274,28 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     else:
         beta = None
         resid = Y
-    quad = float(np.sum(resid * siginv(resid)))
+    Siresid, mu = siginv(resid)
+    quad = float(np.sum(resid * Siresid))
     ll = -0.5 * (R * n * math.log(2 * math.pi) + R * logdet_sy + quad)
-    return ll, beta
+    if not gradient:
+        return ll, beta
+
+    N = model.N
+    Z = Fq.inverse_entries(np.repeat(np.arange(K * N), np.diff(st.indptr)), st.indices)
+    # weights of dQ_i in d(-2 loglik): R Z_ii + sum_r mu_ri mu_ri' on block i's pattern
+    weights, zq, start = [], Z[st.q_slots], 0
+    for i, (indptr, indices) in enumerate(st.patterns):
+        rows = np.repeat(np.arange(N), np.diff(indptr))
+        mu_i = mu[i * N:(i + 1) * N]
+        weights.append(R * zq[start:start + indices.size]
+                       + np.einsum("ij,ij->i", mu_i[rows], mu_i[indices]))
+        start += indices.size
+    d_kappa, d_tau = model.precision_gradient(weights, R)
+    # dQpost/dlog sigma_e = -2 Abar'Abar / s2, and |e_r|^2 / s2 = s2 |Sigma_y^{-1} r_r|^2
+    zb = float(Z[st.b_slots] @ np.tile(memo.AtA.data, K * K))
+    d_sigma = R * (zb / s2 - n) + s2 * float(np.sum(Siresid**2))
+    return ll, beta, LikelihoodGradient(log_kappa=-0.5 * d_kappa, log_tau=-0.5 * d_tau,
+                                        log_sigma_e=d_sigma)
 
 
 # -- covariates by kriging ---------------------------------------------------------
@@ -344,6 +385,7 @@ class FitResult:
     n_evaluations: int
     alpha: float
     model: FieldModel
+    gradient_norm: float   # max |d(-loglik)/dx| at the returned parameters
 
 
 _ALPHA_BOX = (0.55, 2.95)
@@ -385,29 +427,63 @@ def _materialize(spec: ModelSpec, mesh: Mesh, alpha: float, theta: dict) -> Fiel
     return FieldModel.build(mesh, alpha, kappa, tau)
 
 
+def _sigma_e(spec: ModelSpec, theta: dict) -> float:
+    return math.exp(theta["log_sigma_e"]) if spec.sigma_e == "estimate" \
+        else float(spec.sigma_e)
+
+
+def _negative_log_likelihood(spec: ModelSpec, names, mesh: Mesh, obs: ObservationSet,
+                             design, alpha: float, x, gradient: bool = False):
+    """-loglik at the free parameters x (in the order of names), and with
+    gradient=True also its gradient in x, by the chain rule through
+    log kappa = intercept + sum_j slope_j g_j (likewise log tau)."""
+    theta = dict(zip(names, x))
+    model = _materialize(spec, mesh, alpha, theta)
+    out = log_likelihood(model, obs.with_sigma_e(_sigma_e(spec, theta)), design=design,
+                         gradient=gradient)
+    if not gradient:
+        return -out[0]
+    ll, _, g = out
+    nodes = {"kappa": g.log_kappa, "tau": g.log_tau}
+    grad = []
+    for name in names:
+        if name == "log_sigma_e":
+            grad.append(g.log_sigma_e)
+            continue
+        prefix, _, coef = name.partition("_")
+        d = nodes[prefix]
+        grad.append(d.sum() if coef == "intercept" else
+                    d @ np.asarray(spec.covariates[int(coef[len("slope"):])], float))
+    return -ll, -np.array(grad)
+
+
 def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
         max_evaluations: int = 400, alpha_grid=None, x0=None,
         restarts: int = 1) -> FitResult:
-    """Maximize the marginal likelihood by a derivative-free simplex search
-    (restarted from its own optimum), with a coarse-then-fine grid for alpha
+    """Maximize the marginal likelihood by L-BFGS-B (restarted from its own
+    optimum until it stops moving), with a coarse-then-fine grid for alpha
     when it is estimated.  x0 warm-starts the free parameters (in the order
-    reported by the result's params)."""
+    reported by the result's params).
+
+    The gradient is analytic (see log_likelihood) and comes with each
+    likelihood evaluation.  A variance-stationary spec has a tau that depends
+    on kappa through the marginal variance, whose derivative no selected
+    inverse gives in O(N); it runs the same L-BFGS-B on finite differences.
+    A parameter point where the model cannot be built or factorized (also an
+    alpha whose rational approximation fails) scores as infeasible.
+    """
     names, x0_default = _collect_free(spec)
     x0 = x0_default if x0 is None else np.asarray(x0, float)
     evaluations = [0]
     obs.basis_matrix(mesh)  # every evaluation's copy of obs shares it
 
-    def objective(x, alpha):
+    def objective(x, alpha, gradient=False):
         evaluations[0] += 1
-        theta = dict(zip(names, x))
-        sigma_e = math.exp(theta["log_sigma_e"]) if spec.sigma_e == "estimate" \
-            else float(spec.sigma_e)
         try:
-            model = _materialize(spec, mesh, alpha, theta)
-            ll, _ = log_likelihood(model, obs.with_sigma_e(sigma_e), design=design)
-        except (np.linalg.LinAlgError, ValueError, OverflowError):
-            return 1e12
-        return -ll
+            return _negative_log_likelihood(spec, names, mesh, obs, design, alpha, x,
+                                            gradient)
+        except (np.linalg.LinAlgError, ValueError, OverflowError, RationalError):
+            return (1e12, np.zeros(len(x))) if gradient else 1e12
 
     if spec.alpha == "estimate":
         grid = list(alpha_grid) if alpha_grid is not None else \
@@ -419,31 +495,35 @@ def fit(spec: ModelSpec, mesh: Mesh, obs: ObservationSet, design=None,
     else:
         alpha = float(spec.alpha)
 
+    gradient_norm = 0.0
     if len(x0):
         from scipy.optimize import minimize  # imported here: scipy.optimize is slow to import
 
+        analytic = not spec.variance_stationary
         xbest, success = x0, False
         for _ in range(max(1, restarts + 1)):
-            res = minimize(objective, xbest, args=(alpha,), method="Nelder-Mead",
-                           options={"maxfev": max_evaluations,
-                                    "xatol": 1e-6, "fatol": 1e-8})
-            moved = np.abs(res.x - xbest).max() if success else np.inf
-            xbest, success = res.x, bool(res.success)
-            if success and moved < 1e-5:
+            res = minimize(objective, xbest, args=(alpha, analytic), method="L-BFGS-B",
+                           jac=True if analytic else None,
+                           options={"maxfun": max_evaluations, "ftol": 1e-10})
+            # a restart that stays put confirms the optimum it started from; its
+            # own line search may stop on rounding noise there, so keep the first
+            if success and np.abs(res.x - xbest).max() < 1e-5:
                 break
+            xbest, success = res.x, bool(res.success)
+            gradient_norm = float(np.abs(res.jac).max())
     else:
         objective(x0, alpha)
         xbest, success = x0, True
     theta = dict(zip(names, xbest))
-    sigma_e = math.exp(theta["log_sigma_e"]) if spec.sigma_e == "estimate" \
-        else float(spec.sigma_e)
+    sigma_e = _sigma_e(spec, theta)
     model = _materialize(spec, mesh, alpha, theta)
     ll, beta = log_likelihood(model, obs.with_sigma_e(sigma_e), design=design)
     params = dict(theta)
     params["alpha"] = alpha
     params["sigma_e"] = sigma_e
     return FitResult(params=params, beta=beta, loglik=ll, converged=success,
-                     n_evaluations=evaluations[0], alpha=alpha, model=model)
+                     n_evaluations=evaluations[0], alpha=alpha, model=model,
+                     gradient_norm=gradient_norm)
 
 
 # -- leave-radius-out cross-validation -----------------------------------------------
@@ -464,7 +544,13 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     radius R of it; report mean squared error and mean negative log-score.
 
     The prediction uses the covariance-form kriging identity (equal to the
-    GMRF form) so each exclusion set only costs a dense solve of size n.
+    GMRF form) and conditions through whichever exact set is smaller: the
+    kept observations (a dense solve with S_kk + sigma^2 I), or the removed
+    ball B, whose values given the rest have covariance P_BB^{-1} and mean
+    e_B - P_BB^{-1} (P e)_B with P = (S + sigma^2 I)^{-1}, formed once.  For
+    R = 0 that is the closed-form leave-one-out of Rasmussen & Williams
+    (2006, sec. 5.4.2).  A location whose ball holds every observation is
+    skipped.
     """
     A = obs.basis_matrix(model.mesh)
     cols = model.covariance_columns(np.asarray(A.T.todense()))
@@ -478,24 +564,46 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     else:
         trend = np.zeros(obs.n)
     E = Y - trend[:, None]
+    P = None
     out = []
     for R in radii:
         se = []
         nls = []
         skipped = 0
         for i in range(obs.n):
-            keep = np.nonzero(D[i] > R)[0]
-            if keep.size == 0:
+            removed = D[i] <= R
+            n_removed = int(np.count_nonzero(removed))
+            if n_removed == obs.n:
                 skipped += 1
                 continue
-            Sjj = S[np.ix_(keep, keep)] + s2 * np.eye(keep.size)
-            ci = S[i, keep]
-            sol = cho_solve(cho_factor(Sjj, lower=True),
-                            np.column_stack([E[keep], ci]))
-            w, aux = sol[:, :-1], sol[:, -1]
-            mu = trend[i] + ci @ w
-            var = S[i, i] - ci @ aux + s2
-            err2 = (Y[i] - mu) ** 2
+            if n_removed <= obs.n - n_removed:
+                if P is None:
+                    P = cho_solve(cho_factor(S + s2 * np.eye(obs.n), lower=True),
+                                  np.eye(obs.n))
+                    P = 0.5 * (P + P.T)
+                    PE = P @ E
+                # the prediction error e_i - mean is (P_BB^{-1} (P e)_B)_i
+                if n_removed == 1:
+                    var = 1.0 / P[i, i]
+                    err = PE[i] * var
+                else:
+                    ball = np.flatnonzero(removed)
+                    k = int(np.searchsorted(ball, i))
+                    unit = np.zeros(n_removed)
+                    unit[k] = 1.0
+                    sol = cho_solve(cho_factor(P[np.ix_(ball, ball)], lower=True),
+                                    np.column_stack([PE[ball], unit]))
+                    err, var = sol[k, :-1], sol[k, -1]
+            else:
+                keep = np.flatnonzero(~removed)
+                Sjj = S[np.ix_(keep, keep)] + s2 * np.eye(keep.size)
+                ci = S[i, keep]
+                sol = cho_solve(cho_factor(Sjj, lower=True),
+                                np.column_stack([E[keep], ci]))
+                w, aux = sol[:, :-1], sol[:, -1]
+                err = Y[i] - (trend[i] + ci @ w)
+                var = S[i, i] - ci @ aux + s2
+            err2 = err**2
             se.extend(err2.tolist())
             nls.extend((0.5 * (np.log(2 * np.pi * var) + err2 / var)).tolist())
         out.append(CVRecord(radius=float(R),

@@ -179,6 +179,9 @@ def test_fit_command(tmp_path):
     result = json.loads(out.read_text())
     assert "kappa_intercept" in result["params"]
     assert np.isfinite(result["loglik"])
+    manifest = json.loads((tmp_path / "fit.json.manifest.json").read_text())
+    assert result["converged"] and 0 <= result["gradient_norm"] < 1e-3
+    assert manifest["gradient_norm"] == result["gradient_norm"]
 
 
 def test_missing_file_is_graceful(capsys):

@@ -10,6 +10,7 @@ from graphfield.graph import (GraphError, GraphPoint, MetricGraph, builtin_graph
                               circle_graph, interval_graph, practical_range,
                               star_graph, tadpole_graph, validate)
 from graphfield.mesh import build_mesh
+from strategies import random_meshes
 
 
 def test_validate_tadpole():
@@ -87,6 +88,32 @@ def test_geodesic_matrix_matches_pairwise():
     for i in range(12):
         for j in range(12):
             assert D[i, j] == pytest.approx(g.geodesic(pts[i], pts[j]), abs=1e-12)
+
+
+def _geodesic_by_endpoints(g, a, b):
+    """Scalar reference: leave each point through either end of its edge,
+    or go directly along a shared edge."""
+    a, b = g.check_point(a), g.check_point(b)
+    D = g.vertex_distances()
+    ea, eb = g.edges[a.edge], g.edges[b.edge]
+    ia = (g._vid_index[ea.u], g._vid_index[ea.v])
+    ib = (g._vid_index[eb.u], g._vid_index[eb.v])
+    da, db = (a.t, ea.length - a.t), (b.t, eb.length - b.t)
+    best = min(da[i] + D[ia[i], ib[j]] + db[j] for i in range(2) for j in range(2))
+    return min(best, abs(a.t - b.t)) if a.edge == b.edge else best
+
+
+@settings(max_examples=25, deadline=None)
+@given(mesh=random_meshes(), data=st.data())
+def test_geodesic_is_two_point_geodesic_matrix(mesh, data):
+    g = mesh.graph
+    pts = mesh.node_points()[::max(1, mesh.N // 12)]
+    for e in data.draw(st.lists(st.integers(0, g.n_edges - 1), min_size=1, max_size=4)):
+        pts += [GraphPoint(e, data.draw(st.floats(0, g.edges[e].length))) for _ in range(2)]
+    D = g.geodesic_matrix(pts)
+    for i, a in enumerate(pts):
+        for j, b in enumerate(pts):
+            assert g.geodesic(a, b) == D[i, j] == _geodesic_by_endpoints(g, a, b)
 
 
 @settings(max_examples=200, deadline=None)

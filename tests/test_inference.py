@@ -6,7 +6,8 @@ import pytest
 from graphfield.field import FieldModel, variance_stationary_model
 from graphfield.graph import GraphPoint, interval_graph, star_graph, tadpole_graph
 from graphfield.inference import (InferenceError, LogRegression, ModelSpec,
-                                  ObservationSet, covariate_from_observations,
+                                  ObservationSet, _collect_free,
+                                  _negative_log_likelihood, covariate_from_observations,
                                   fit, kriging, kriging_covariance_form,
                                   leave_radius_out_cv, log_likelihood)
 from graphfield.mesh import build_mesh
@@ -342,6 +343,152 @@ def test_fit_orders_each_pattern_once(monkeypatch):
     obs = random_obs(FieldModel.build(mesh, 1.0, 2.0, 1.0), 40, 6, replicates=2)
     spec = ModelSpec(alpha=1.0, kappa=LogRegression(None, []),
                      tau=LogRegression(None, []), sigma_e="estimate")
-    res = fit(spec, mesh, obs, design=np.ones(obs.n), max_evaluations=100, restarts=0)
-    assert res.n_evaluations >= 100
+    design = np.ones(obs.n)
+    res = fit(spec, mesh, obs, design=design, max_evaluations=100, restarts=0)
+    assert res.converged
+    # 100 more likelihood-plus-gradient evaluations over varied parameters
+    rng = np.random.default_rng(1)
+    for kappa, tau, sigma in np.exp(rng.uniform(-0.5, 0.5, (100, 3))):
+        model = FieldModel.build(mesh, 1.0, 2.0 * kappa, tau)
+        log_likelihood(model, obs.with_sigma_e(0.3 * sigma), design=design, gradient=True)
     assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("alpha, h, m", [(0.75, 0.02, 2), (1.0, 0.08, 0), (1.4, 0.08, 3),
+                                         (2.0, 0.08, 0), (2.5, 0.08, 3), (3.0, 0.08, 0)])
+def test_likelihood_gradient_matches_central_differences(alpha, h, m):
+    """Analytic gradient of -loglik in the fit's parameters (a covariate on
+    kappa and on tau, sigma_e, beta profiled, 2 replicates) against a
+    five-point central difference; h sets the calibrated rational order m."""
+    mesh = build_mesh(tadpole_graph(), h)
+    rng = np.random.default_rng(3)
+    covariate = rng.standard_normal(mesh.N)  # kappa's smallest node is unique
+    obs = random_obs(FieldModel.build(mesh, 1.0, 2.0, 1.0), 30, 7, replicates=2)
+    obs = ObservationSet(obs.points, 1.0 + obs.values, 1.0)
+    design = np.ones(obs.n)
+    spec = ModelSpec(alpha=alpha, kappa=LogRegression(None, [None]),
+                     tau=LogRegression(None, [None]), sigma_e="estimate",
+                     covariates=[covariate])
+    names, _ = _collect_free(spec)
+    x = np.array([0.7, 0.15, -0.2, 0.1, math.log(0.4)])
+
+    def f(x):
+        return _negative_log_likelihood(spec, names, mesh, obs, design, alpha, x)
+
+    value, grad = _negative_log_likelihood(spec, names, mesh, obs, design, alpha, x, True)
+    assert value == f(x)
+    step = 1e-3
+    for k, e in enumerate(np.eye(len(x)) * step):
+        fd = (f(x - 2 * e) - 8 * f(x - e) + 8 * f(x + e) - f(x + 2 * e)) / (12 * step)
+        assert abs(grad[k] - fd) <= 1e-6 * abs(fd), (names[k], grad[k], fd)
+    model = FieldModel.build(mesh, alpha, 2.0, 1.0)
+    assert model.m == m
+
+
+def test_fit_variance_stationary_runs_on_finite_differences(monkeypatch):
+    import graphfield.inference as inference
+
+    asked = []
+    ll = inference.log_likelihood
+
+    def recording(*args, gradient=False, **kwargs):
+        asked.append(gradient)
+        return ll(*args, gradient=gradient, **kwargs)
+
+    monkeypatch.setattr(inference, "log_likelihood", recording)
+    mesh = build_mesh(star_graph(4), 0.1)
+    truth = variance_stationary_model(mesh, 2.5, alpha=1.0, sigma0=1.5)
+    obs = random_obs(truth, 80, 12)
+    A = mesh.basis_matrix(obs.points)
+    Y = A @ truth.sample(4, seed=5).T + 0.1 * np.random.default_rng(2).standard_normal((80, 4))
+    obs = ObservationSet(obs.points, Y, 0.1)
+    spec = ModelSpec(alpha=1.0, kappa=LogRegression(None, []), tau=None,
+                     sigma_e="estimate", variance_stationary=True, sigma0=None)
+    res = fit(spec, mesh, obs, max_evaluations=300)
+    assert asked and not any(asked)
+    assert res.converged
+    names, _ = _collect_free(spec)
+    x = np.array([res.params[n] for n in names])
+    h = 1e-4
+    for e in np.eye(len(x)) * h:
+        central = (_negative_log_likelihood(spec, names, mesh, obs, None, 1.0, x + e)
+                   - _negative_log_likelihood(spec, names, mesh, obs, None, 1.0, x - e)) / (2 * h)
+        assert abs(central) < 1e-2
+    assert res.gradient_norm < 1e-1
+
+
+def test_fit_scores_unbuildable_alpha_as_infeasible(monkeypatch):
+    """A grid alpha whose rational approximation raises RationalError is
+    skipped like any other infeasible point; the fit still completes."""
+    import graphfield.field as field
+    from graphfield.fractional import RationalError
+
+    tried = []
+    brasil = field.brasil
+
+    def failing(alpha_frac, m, *args, **kwargs):
+        tried.append(alpha_frac)
+        if abs(alpha_frac - 0.5) < 1e-9:
+            raise RationalError("complex poles")
+        return brasil(alpha_frac, m, *args, **kwargs)
+
+    monkeypatch.setattr(field, "brasil", failing)
+    mesh = build_mesh(tadpole_graph(), 0.5)
+    obs = random_obs(FieldModel.build(mesh, 1.0, 2.0, 1.0), 20, 31)
+    spec = ModelSpec(alpha="estimate", kappa=LogRegression(None, []),
+                     tau=LogRegression(None, []), sigma_e=0.3)
+    res = fit(spec, mesh, obs, alpha_grid=[1.0, 1.5, 2.0], max_evaluations=50)
+    assert any(abs(a - 0.5) < 1e-9 for a in tried)
+    assert res.alpha != 1.5 and math.isfinite(res.loglik)
+
+
+def _cv_by_kept_set(model, obs, radii):
+    """Reference leave-radius-out CV: condition every location on the kept
+    observations by a dense solve, (MSE, NLS, used) per radius."""
+    A = model.mesh.basis_matrix(obs.points).toarray()
+    S = A @ model.covariance() @ A.T
+    D = model.mesh.graph.geodesic_matrix(obs.points)
+    Y = obs.matrix
+    out = []
+    for R in radii:
+        err2, nls = [], []
+        for i in range(obs.n):
+            keep = np.flatnonzero(D[i] > R)
+            if keep.size == 0:
+                continue
+            K = S[np.ix_(keep, keep)] + obs.sigma_e**2 * np.eye(keep.size)
+            w = np.linalg.solve(K, S[keep, i])
+            var = S[i, i] - S[i, keep] @ w + obs.sigma_e**2
+            e2 = (Y[i] - w @ Y[keep]) ** 2
+            err2.extend(e2)
+            nls.extend(0.5 * (np.log(2 * np.pi * var) + e2 / var))
+        out.append((np.mean(err2), np.mean(nls), len(err2) // Y.shape[1]) if err2 else
+                   (None, None, 0))
+    return out
+
+
+def test_cv_conditions_on_the_smaller_set(tadpole_model, monkeypatch):
+    """Both conditioning routes (the removed ball for small radii, the kept
+    set for large ones) match the direct kept-set solve, duplicated
+    locations included; R = 0 factorizes only the one n x n matrix."""
+    import graphfield.inference as inference
+
+    obs = random_obs(tadpole_model, 40, 41, replicates=3)
+    points = obs.points + obs.points[:3]
+    values = np.vstack([obs.values, obs.values[:3] + 0.1])
+    dup = ObservationSet(points, values, 0.2)
+    radii = (0.0, 0.2, 0.8, 1.5, 100.0)
+    for got, want in zip(leave_radius_out_cv(tadpole_model, dup, radii),
+                         _cv_by_kept_set(tadpole_model, dup, radii)):
+        if want[2] == 0:
+            assert got.n_used == 0 and math.isnan(got.mse)
+            continue
+        assert got.n_used == want[2]
+        assert got.mse == pytest.approx(want[0], rel=1e-10)
+        assert got.nls == pytest.approx(want[1], rel=1e-10)
+
+    calls = []
+    cho = inference.cho_factor
+    monkeypatch.setattr(inference, "cho_factor", lambda *a, **k: calls.append(1) or cho(*a, **k))
+    leave_radius_out_cv(tadpole_model, ObservationSet(obs.points, obs.values, 0.2), [0.0])
+    assert len(calls) == 1
