@@ -9,6 +9,17 @@ extrema.  At convergence the error curve equioscillates, which certificates
 minimax optimality.  The homogeneity x^a = b^a (x/b)^a maps the solution to
 any [0, b] exactly.
 
+The local extrema of all 2m+2 subintervals are searched in lockstep: one
+stacked 48-point grid, then 40 golden-section steps taken together, with
+np.where choosing each subinterval's bracket.  This reproduces a search of
+one subinterval and one point at a time bit for bit, because every value is
+computed with the same arithmetic: each subinterval's grid is its own gemv
+((J, 48, k) @ fy is J separate products), each golden-section point its own
+dot ((J, 1, k) @ fy), and row sums and np.power work elementwise.  A single
+(J, k) @ fy gemv for J points would round differently, and since the
+equilibration stops at the first iterate with ratio >= STOP_RATIO, a
+different rounding path ends at a different nearby solution.
+
 Substituting x = 1/lambda turns the approximant into
 k + sum_i r_i / (lambda - p_i) with k, r_i > 0 and p_i < 0, the form applied
 to the discrete operator.
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.linalg import svd
+from numpy.linalg import LinAlgError, svd
 
 
 class RationalError(RuntimeError):
@@ -29,12 +40,11 @@ class RationalError(RuntimeError):
 
 
 class NonConvergenceError(RationalError):
-    """Node equilibration failed to reach an acceptable equioscillation ratio."""
+    """Node equilibration failed to certify minimax optimality; `failed`
+    names the certificate that failed."""
 
-    def __init__(self, ratio, approx):
-        super().__init__(
-            f"equioscillation ratio {ratio:.4f} below 0.95 after the iteration limit"
-        )
+    def __init__(self, ratio, approx, failed):
+        super().__init__(f"minimax solve not certified: {failed}")
         self.ratio = ratio
         self.last_iterate = approx
 
@@ -61,8 +71,9 @@ class RationalApprox:
         b = self.interval
         u = np.asarray(x, dtype=float) / b
         return b**self.alpha_frac * _bary_eval(
-            u, np.array(self.support), np.array(self.support_values), np.array(self.weights)
-        )
+            u.reshape(1, -1), np.array(self.support), np.array(self.support_values),
+            np.array(self.weights),
+        ).reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -106,18 +117,21 @@ class PartialFractions:
 
 
 def _bary_eval(x, y, fy, w):
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.atleast_1d(x).ravel()
-    diff = x[:, None] - y[None, :]
+    """Barycentric interpolant at the points x of shape (J, P), row by row.
+
+    Each row is one BLAS product of its (P, k) Cauchy matrix with fy (a gemv,
+    or a dot when P = 1), and the row sums run along the last axis, so row j
+    rounds exactly as a call on x[j] alone: x[:, None] gives J one-point
+    evaluations."""
+    diff = x[..., None] - y
     hit = diff == 0.0
     diff[hit] = 1.0
     c = w / diff
     with np.errstate(invalid="ignore"):
-        r = (c @ fy) / c.sum(axis=1)
-    i, j = np.nonzero(hit)
-    r[i] = fy[j]
-    return r.reshape(shape)
+        r = (c @ fy) / c.sum(axis=-1)
+    i, p, j = np.nonzero(hit)
+    r[i, p] = fy[j]
+    return r
 
 
 def _interpolate(nodes, fvals):
@@ -130,41 +144,58 @@ def _interpolate(nodes, fvals):
     return y, fy, w
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
 def _local_max(err, a, b, n=48):
-    """Location and magnitude of the largest |err| on [a, b] (endpoints
-    included); geometric sampling when the interval spans decades, then a
-    golden-section polish of the best bracket."""
-    if a > 0 and b / a > 8:
-        xs = np.geomspace(a, b, n)
-    else:
-        xs = np.linspace(a, b, n)
+    """Location and magnitude of the largest |err| on each subinterval
+    [a_j, b_j] (endpoints included), all subintervals in lockstep: an n-point
+    grid (geometric when the subinterval spans decades), then 40 golden-section
+    steps on the bracket of the best grid point.  Every subinterval makes the
+    comparisons and the one-point evaluations of a search on it alone."""
+    rows = np.arange(len(a))
+    geo = a > 0
+    geo[geo] = b[geo] / a[geo] > 8
+    xs = np.linspace(a, b, n, axis=-1)
+    if geo.any():
+        xs[geo] = np.geomspace(a[geo], b[geo], n, axis=-1)
     vals = np.abs(err(xs))
-    kk = int(np.argmax(vals))
-    best_x, best_v = xs[kk], vals[kk]
-    lo, hi = xs[max(kk - 1, 0)], xs[min(kk + 1, n - 1)]
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - gr * (hi - lo)
-    d = lo + gr * (hi - lo)
-    fc = abs(float(err(c)))
-    fd = abs(float(err(d)))
+    kk = np.argmax(vals, axis=1)
+    best_x, best_v = xs[rows, kk], vals[rows, kk]
+    lo = xs[rows, np.maximum(kk - 1, 0)]
+    hi = xs[rows, np.minimum(kk + 1, n - 1)]
+
+    def at(x):
+        return np.abs(err(x[:, None]))[:, 0]
+
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = at(c), at(d)
     for _ in range(40):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - gr * (hi - lo)
-            fc = abs(float(err(c)))
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + gr * (hi - lo)
-            fd = abs(float(err(d)))
+        left = fc > fd  # keep [lo, d], else [c, hi]
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        x = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fx = at(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     xm = 0.5 * (lo + hi)
-    vm = abs(float(err(xm)))
-    if vm > best_v:
-        best_x, best_v = xm, vm
-    return best_x, best_v
+    vm = at(xm)
+    better = vm > best_v
+    return np.where(better, xm, best_x), np.where(better, vm, best_v)
+
+
+# Largest rational order brasil accepts: above it the partial-fraction
+# residues leave double precision at small fractional parts ({alpha} ~ 1/8)
+# and the minimax solve itself breaks down.
+ORDER_CAP = 16
+# The equilibration stops at the first iterate whose equioscillation ratio
+# (smallest over largest local error extremum) reaches this.
+STOP_RATIO = 0.9999
 
 
 @lru_cache(maxsize=256)
-def _brasil_canonical(alpha_frac: float, m: int, tol_ratio: float, maxiter: int):
+def _brasil_canonical(alpha_frac: float, m: int, maxiter: int):
     """Equilibrated minimax solve of x^alpha_frac on [0,1]."""
     f = lambda x: np.power(x, alpha_frac)  # noqa: E731
     nn = 2 * m + 1
@@ -174,18 +205,28 @@ def _brasil_canonical(alpha_frac: float, m: int, tol_ratio: float, maxiter: int)
     gamma = 1.0
     prev_ratio = 0.0
     for _ in range(maxiter):
-        y, fy, w = _interpolate(nodes, f(nodes))
-        err = lambda x: f(np.asarray(x, float)) - _bary_eval(x, y, fy, w)  # noqa: E731
         bounds = np.concatenate([[0.0], nodes, [1.0]])
-        loc = np.empty(nn + 1)
-        eps = np.empty(nn + 1)
-        for j in range(nn + 1):
-            loc[j], eps[j] = _local_max(err, bounds[j], bounds[j + 1])
+        # finite, increasing and at least the smallest normal float apart: a
+        # grid step that underflows to 0 would make np.linspace switch every
+        # subinterval's grid to another formula
+        if not np.diff(bounds).min() >= np.finfo(float).tiny:
+            raise RationalError(
+                f"minimax nodes underflow or coincide for {{alpha}} = {alpha_frac:.6g}, "
+                f"m = {m}: the fractional part of alpha is too small"
+            )
+        try:
+            y, fy, w = _interpolate(nodes, f(nodes))
+        except LinAlgError as exc:
+            raise RationalError(
+                f"interpolation SVD did not converge for {{alpha}} = {alpha_frac:.6g}, m = {m}"
+            ) from exc
+        err = lambda x: f(x) - _bary_eval(x, y, fy, w)  # noqa: E731
+        loc, eps = _local_max(err, bounds[:-1], bounds[1:])
         ratio = eps.min() / eps.max()
         if best is None or ratio > best[0]:
-            signed = np.array([float(err(x)) for x in loc])
-            best = (ratio, (y, fy, w), loc.copy(), signed, eps.max())
-        if ratio >= tol_ratio:
+            signed = err(loc[:, None])[:, 0]
+            best = (ratio, (y, fy, w), loc, signed, eps.max())
+        if ratio >= STOP_RATIO:
             break
         if ratio < 0.9 * prev_ratio:
             gamma = max(gamma * 0.5, 1.0 / 16)
@@ -198,19 +239,14 @@ def _brasil_canonical(alpha_frac: float, m: int, tol_ratio: float, maxiter: int)
     return best
 
 
-# Largest rational order brasil accepts: above it the partial-fraction
-# residues leave double precision at small fractional parts ({alpha} ~ 1/8)
-# and the minimax solve itself breaks down.
-ORDER_CAP = 16
-
-
-def brasil(alpha_frac: float, m: int, b: float = 1.0, tol_ratio: float = 0.9999,
-           maxiter: int = 1000) -> RationalApprox:
+def brasil(alpha_frac: float, m: int, b: float = 1.0, maxiter: int = 1000) -> RationalApprox:
     """Best L_inf rational approximation of x^alpha_frac on [0, b], type (m, m),
     for 1 <= m <= ORDER_CAP.
 
-    Raises NonConvergenceError (carrying the last iterate and its deviation
-    ratio) if the equilibration cannot certify near-equioscillation.
+    Raises RationalError when the minimax nodes underflow (alpha_frac too
+    small for m) or the interpolation fails, and NonConvergenceError (carrying
+    the last iterate and its deviation ratio, and naming the failed
+    certificate) if the equilibration cannot certify near-equioscillation.
     """
     if not (0.0 < alpha_frac < 1.0):
         raise RationalError(f"fractional exponent must be in (0,1), got {alpha_frac}")
@@ -221,7 +257,7 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, tol_ratio: float = 0.9999,
     if not (b > 0):
         raise RationalError("interval endpoint must be positive")
     ratio, (y, fy, w), loc, signed, sup = _brasil_canonical(
-        float(alpha_frac), int(m), float(tol_ratio), int(maxiter)
+        float(alpha_frac), int(m), int(maxiter)
     )
     # alternating signs at the extrema certify minimax optimality
     signs = np.sign(signed)
@@ -248,8 +284,13 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, tol_ratio: float = 0.9999,
         support_values=tuple(fy),
         weights=tuple(w),
     )
-    if ratio < 0.95 or not alternating:
-        raise NonConvergenceError(ratio, approx)
+    failed = []
+    if ratio < 0.95:
+        failed.append(f"equioscillation ratio {ratio:.4f} below 0.95 after the iteration limit")
+    if not alternating:
+        failed.append(f"the error signs at the {2 * m + 2} extrema do not alternate")
+    if failed:
+        raise NonConvergenceError(ratio, approx, "; ".join(failed))
     return approx
 
 
@@ -313,21 +354,8 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
                    xtol=2e-16, rtol=8.9e-16)
         xpoles[i] = -math.exp(v)
 
-    def numer(x):
-        return sum(w[j] * fy[j] * np.prod(x - np.delete(y, j)) for j in range(len(y)))
-
-    def denom_prime(x):
-        tot = 0.0
-        for j in range(len(y)):
-            yk = np.delete(y, j)
-            for el in range(len(yk)):
-                tot += w[j] * np.prod(x - np.delete(yk, el))
-        return tot
-
-    denom0 = sum(w[j] * np.prod(-np.delete(y, j)) for j in range(len(y)))
-    k1 = numer(0.0) / denom0
+    k1, r1 = _residue_form(y, fy, w, xpoles)
     p1 = 1.0 / xpoles
-    r1 = np.array([-numer(x) / (x**2 * denom_prime(x)) for x in xpoles])
 
     pf = PartialFractions(
         residues=tuple(r1), poles=tuple(p1), k=float(k1),
@@ -340,6 +368,30 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
     if not (pf.k > 0 and all(r > 0 for r in pf.residues) and all(p < 0 for p in pf.poles)):
         raise RationalError("decomposition not a covariance: sign constraint violated")
     return pf
+
+
+def _residue_form(y, fy, w, xpoles):
+    """k and the residues of k + sum r_i/(lambda - 1/xpoles_i), read off the
+    barycentric numerator and the derivative of its denominator (both in
+    product form) at x = 0 and at the poles xpoles of the x variable."""
+    # Products over the support points other than j (row j of `drop1`), or
+    # other than j and l (rows of `drop2`, pairs (j, l) in row-major order),
+    # each in support order; np.prod multiplies and np.cumsum adds strictly
+    # left to right, so every value is that of a loop over j (and l).
+    kk = len(y)
+    others = ~np.eye(kk, dtype=bool)
+    jj, ll = np.nonzero(others)
+    drop1 = ll.reshape(kk, kk - 1)
+    drop2 = np.nonzero(others[jj] & others[ll])[1].reshape(len(jj), kk - 2)
+
+    def numer(x):
+        return np.cumsum(w * fy * np.prod((x - y)[drop1], axis=1))[-1]
+
+    def denom_prime(x):
+        return np.cumsum(w[jj] * np.prod((x - y)[drop2], axis=1))[-1]
+
+    denom0 = np.cumsum(w * np.prod((-y)[drop1], axis=1))[-1]
+    return numer(0.0) / denom0, np.array([-numer(x) / (x**2 * denom_prime(x)) for x in xpoles])
 
 
 # -- order calibration ------------------------------------------------------------

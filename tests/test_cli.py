@@ -255,6 +255,8 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["krige", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "0"],
      "sigma_e must be positive"),
     (["rational", "--alpha", "1.0", "--m", "3"], "fractional exponent"),
+    # {alpha} = 0.001 underflows the minimax start nodes at the capped m = 16
+    (["simulate", "tadpole", "--alpha", "1.001", "--n", "1"], "{alpha} = 0.001, m = 16"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     obs = tmp_path / "obs.csv"

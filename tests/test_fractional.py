@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphfield.fractional as fractional
 from graphfield.fractional import (ORDER_CAP, NonConvergenceError, RationalError,
-                                   _brasil_canonical, brasil, calibrate_order,
-                                   partial_fractions)
+                                   _bary_eval, _brasil_canonical, _residue_form, brasil,
+                                   calibrate_order, partial_fractions)
+from scalar_brasil import bary_eval_points, loop_residue_form, scalar_brasil_canonical
 
 
 def dense_sup_error(approx, n=100_000):
@@ -129,6 +133,80 @@ def test_nonconvergence_carries_iterate():
         brasil(0.5, 6, maxiter=2)
     assert exc.value.ratio < 0.95
     assert exc.value.last_iterate.m == 6
+
+
+def test_nonconvergence_names_the_failed_certificate(monkeypatch):
+    with pytest.raises(NonConvergenceError, match="ratio .* below 0.95"):
+        brasil(0.5, 6, maxiter=2)
+    # a converged ratio with one extremum's sign flipped fails only the
+    # alternation certificate
+    ratio, coeffs, loc, signed, sup = _brasil_canonical(0.5, 3, 1000)
+    flipped = signed.copy()
+    flipped[1] = -flipped[1]
+    monkeypatch.setattr(fractional, "_brasil_canonical",
+                        lambda *args: (ratio, coeffs, loc, flipped, sup))
+    with pytest.raises(NonConvergenceError, match="signs at the 8 extrema do not alternate") \
+            as exc:
+        brasil(0.5, 3)
+    assert "below 0.95" not in str(exc.value)
+
+
+def test_svd_failure_raises_rational_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(fractional, "svd", no_convergence)
+    with pytest.raises(RationalError, match=r"SVD did not converge for \{alpha\} = 0.3701, m = 2"):
+        brasil(0.3701, 2)
+
+
+# -- the lockstep extremum search against the scalar reference --------------------
+
+
+@pytest.mark.parametrize("alpha_frac, m", [(0.4, 16), (0.9, 3), (0.9, 6), (0.5, 8), (0.25, 5)])
+def test_lockstep_search_matches_scalar_reference(alpha_frac, m):
+    ratio, (y, fy, w), loc, signed, sup = _brasil_canonical(alpha_frac, m, 1000)
+    r_ratio, (r_y, r_fy, r_w), r_loc, r_signed, r_sup = scalar_brasil_canonical(alpha_frac, m)
+    for got, want in ((ratio, r_ratio), (y, r_y), (fy, r_fy), (w, r_w), (loc, r_loc),
+                      (signed, r_signed), (sup, r_sup)):
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, ORDER_CAP + 1), rows=st.integers(1, 2 * ORDER_CAP + 2),
+       hits=st.integers(0, 6), alpha_frac=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_stacked_evaluation_matches_one_point_calls(k, rows, hits, alpha_frac, seed):
+    """Row j of a stacked evaluation equals a call on row j alone, for grid
+    rows and for one-point rows (including points on the support), as the
+    lockstep search assumes."""
+    rng = np.random.default_rng(seed)
+    y = np.sort(rng.uniform(0.0, 1.0, k) ** (1.0 / alpha_frac))
+    fy = np.power(y, alpha_frac)
+    w = rng.standard_normal(k)
+    grid = rng.uniform(0.0, 1.0, (rows, 48)) ** (1.0 / alpha_frac)
+    points = grid[:, 0].copy()
+    for i in rng.integers(0, rows, hits):
+        grid[i, rng.integers(48)] = points[i] = y[rng.integers(k)]
+    stacked = _bary_eval(grid, y, fy, w)
+    one_point = _bary_eval(points[:, None], y, fy, w)[:, 0]
+    powers = np.power(points[:, None], alpha_frac)[:, 0]
+    for i in range(rows):
+        assert stacked[i].tobytes() == bary_eval_points(grid[i], y, fy, w).tobytes()
+        assert one_point[i].tobytes() == bary_eval_points(points[i], y, fy, w).tobytes()
+        assert powers[i].tobytes() == np.power(np.asarray(points[i]), alpha_frac).tobytes()
+
+
+@pytest.mark.parametrize("alpha_frac, m", [(0.4, 16), (0.9, 3), (0.125, 14)])
+def test_residue_products_match_loops(alpha_frac, m):
+    ra = brasil(alpha_frac, m)
+    y, fy, w = (np.array(v) for v in (ra.support, ra.support_values, ra.weights))
+    xpoles = np.concatenate([1.0 / np.array(partial_fractions(ra).poles),
+                             -np.geomspace(1e-6, 10.0, 5)])
+    k, r = _residue_form(y, fy, w, xpoles)
+    k_ref, r_ref = loop_residue_form(y, fy, w, xpoles)
+    assert np.float64(k).tobytes() == np.float64(k_ref).tobytes()
+    assert r.tobytes() == r_ref.tobytes()
 
 
 def test_calibrate_order_values():
