@@ -10,8 +10,8 @@ harness validated against exact covariance oracles.
 __version__ = "0.1.0"
 
 from .graph import (GraphError, GraphPoint, MetricGraph, builtin_graph,
-                    circle_graph, interval_graph, practical_range, star_graph,
-                    tadpole_graph, validate)
+                    circle_graph, interval_graph, star_graph, tadpole_graph,
+                    validate)
 from .mesh import Mesh, build_mesh
 from .assembly import assemble_mass, assemble_stiffness, lump_mass, operator_matrix
 from .fractional import (PartialFractions, RationalApprox, brasil,

@@ -123,10 +123,3 @@ def operator_matrix(mesh: Mesh, kappa):
     L = shift_diagonal(mesh, assemble_stiffness(mesh), kappa_mass_diagonal(mesh, kappa))
     return L, lumped_mass(mesh)
 
-
-def dump_coordinate_format(matrix, path):
-    """Write a sparse/dense matrix as (i, j, value) text, 17 significant digits."""
-    m = csr_matrix(matrix).tocoo()
-    with open(path, "w") as f:
-        for i, j, v in zip(m.row, m.col, m.data):
-            f.write(f"{i} {j} {v:.17g}\n")

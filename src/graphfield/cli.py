@@ -24,7 +24,7 @@ from .exprs import CoefficientExpression, ExpressionError
 from .field import FieldError, FieldModel, variance_stationary_model
 from .fractional import ORDER_CAP, RationalError, brasil, partial_fractions
 from .graph import GraphError, GraphPoint, MetricGraph, builtin_graph, validate
-from .harness import (DEFAULT_CALIBRATION_C, error_grid, rate_experiment,
+from .harness import (DEFAULT_CALIBRATION_C, error_grid, oracle_graph, rate_experiment,
                       rates_table, write_records_csv, write_rates_csv)
 from .inference import (InferenceError, ModelSpec, ObservationSet, fit, kriging,
                         leave_radius_out_cv, write_cv_csv)
@@ -220,11 +220,9 @@ def cmd_varstat(args):
 
 def cmd_oracle(args):
     t0 = time.time()
-    g = builtin_graph(args.graph)
+    g, name, length = oracle_graph(args.graph)
     mesh = build_mesh(g, args.grid_h)
     pts = mesh.node_points()
-    name = args.graph.partition(":")[0]
-    length = g.edges[0].length if name in ("interval", "circle") else None
     S = exact_covariance(name, pts, args.alpha, args.kappa, args.tau, length)
     np.savetxt(args.out, S, fmt=FMT, delimiter=",")
     _write_node_csv(args.out + ".points.csv", mesh, {})

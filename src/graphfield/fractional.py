@@ -262,7 +262,7 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, maxiter: int = 1000) -> Ra
     # alternating signs at the extrema certify minimax optimality
     signs = np.sign(signed)
     alternating = bool(np.all(signs[1:] * signs[:-1] < 0))
-    num1, den1 = _monomial_coeffs(y, fy, w)
+    num1, den1 = _monomial_coeffs(y, fy, w, alpha_frac)
     # the denominator must be pole-free on the approximation interval; the
     # monomial form is only trustworthy at moderate orders (partial_fractions
     # re-validates via the bracketed pole locations at any order)
@@ -294,9 +294,10 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, maxiter: int = 1000) -> Ra
     return approx
 
 
-def _monomial_coeffs(y, fy, w):
+def _monomial_coeffs(y, fy, w, alpha_frac):
     """Expand the barycentric numerator/denominator into monomial coefficients
-    (a_0..a_m), (b_0..b_m) with the denominator normalized to b_0 = 1."""
+    (a_0..a_m), (b_0..b_m) with the denominator normalized to b_0 = 1;
+    alpha_frac only names the approximation in errors."""
     mm = len(y)
     num = np.zeros(mm)
     den = np.zeros(mm)
@@ -307,7 +308,11 @@ def _monomial_coeffs(y, fy, w):
     num = num[::-1]  # a_0 .. a_m
     den = den[::-1]
     if den[0] == 0:
-        raise RationalError("denominator vanishes at 0; invalid interpolant")
+        raise RationalError(
+            f"denominator vanishes at 0 for {{alpha}} = {alpha_frac:.6g}, m = {mm - 1}: "
+            f"support points reach {np.min(y):.3g} and the monomial expansion underflows; "
+            "the fractional part of alpha is too small for this order"
+        )
     return num / den[0], den / den[0]
 
 
@@ -343,8 +348,9 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
     idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
     if len(idx) != m:
         raise RationalError(
-            f"expected {m} simple poles, found {len(idx)} sign changes "
-            "(repeated or complex poles)"
+            f"expected {m} simple poles for {{alpha}} = {approx.alpha_frac:.6g}, m = {m}, "
+            f"found {len(idx)} sign changes of the denominator on [-{hi:.3g}, -{lo:.3g}] "
+            "(repeated or complex poles, or a pole outside that range)"
         )
     from scipy.optimize import brentq  # imported here: scipy.optimize is slow to import
 

@@ -111,9 +111,6 @@ class MetricGraph:
             d += (e.u == vid) + (e.v == vid)
         return d
 
-    def incident_edges(self, vid) -> list[int]:
-        return [e.id for e in self.edges if vid in (e.u, e.v)]
-
     def check_point(self, p: GraphPoint) -> GraphPoint:
         if not (0 <= p.edge < self.n_edges):
             raise GraphError(f"edge id {p.edge} out of range")
@@ -181,13 +178,6 @@ class MetricGraph:
         direct = np.abs(ts[:, None] - ts[None, :])
         out[same] = np.minimum(out[same], direct[same])
         return out
-
-    def diameter_estimate(self) -> float:
-        """Upper bound on the geodesic diameter (vertex eccentricity + edges)."""
-        D = self.vertex_distances()
-        if self.n_vertices == 1:
-            return max(e.length for e in self.edges) / 2.0
-        return float(D.max()) + max(e.length for e in self.edges)
 
     # -- coordinates (metadata) ---------------------------------------------
 
@@ -350,30 +340,3 @@ def builtin_graph(spec: str) -> MetricGraph:
         return star_graph(int(arg) if arg else 3)
     raise GraphError(f"unknown builtin graph {spec!r}")
 
-
-# -- practical correlation range ------------------------------------------------
-
-
-def practical_range(graph: MetricGraph, points: list[GraphPoint], cov_row: np.ndarray,
-                    marginal_sd: np.ndarray, s: GraphPoint, threshold: float = 0.1) -> float:
-    """Smallest geodesic distance at which correlation with ``s`` drops below
-    ``threshold``; returns the graph diameter estimate if it never does.
-
-    ``cov_row`` holds Cov(u(s), u(points[i])) and ``marginal_sd`` the marginal
-    standard deviations at the same points.
-    """
-    sd = np.asarray(marginal_sd, float)
-    if np.any(sd <= 0):
-        raise ValueError("nonpositive marginal standard deviation")
-    if threshold >= 1.0:
-        return 0.0
-    d = np.array([graph.geodesic(s, p) for p in points])
-    # variance at s itself: the covariance-row value at the nearest point
-    var_s = float(np.asarray(cov_row, float)[int(np.argmin(d))])
-    if var_s <= 0:
-        raise ValueError("nonpositive marginal variance at the source point")
-    corr = np.asarray(cov_row, float) / (sd * math.sqrt(var_s))
-    for i in np.argsort(d):
-        if corr[i] < threshold:
-            return float(d[i])
-    return graph.diameter_estimate()

@@ -24,7 +24,8 @@ from .assembly import assemble_mass, lump_mass
 from .field import FieldModel
 from .graph import builtin_graph
 from .mesh import build_mesh
-from .oracle import MaternParams, exact_covariance
+from .oracle import (MaternParams, exact_covariance, folded_circle, folded_interval,
+                     tadpole_cov_exact)
 
 THEORETICAL_RATE = lambda alpha: min(2 * alpha - 0.5, 2.0)  # noqa: E731
 
@@ -75,12 +76,13 @@ def sup_error(sigma_exact: np.ndarray, sigma_approx: np.ndarray, A) -> float:
     return float(np.abs(D).max())
 
 
-def _graph_and_length(kind: str):
+def oracle_graph(kind: str):
+    """(graph, oracle kind, length) for a builtin graph spec with an exact
+    covariance oracle; the length is the interval's or circle's, None for
+    the tadpole."""
     g = builtin_graph(kind)
     name = kind.partition(":")[0]
-    if name == "interval":
-        return g, name, g.edges[0].length
-    if name == "circle":
+    if name in ("interval", "circle"):
         return g, name, g.edges[0].length
     if name == "tadpole":
         return g, name, None
@@ -88,7 +90,7 @@ def _graph_and_length(kind: str):
 
 
 def _reference(kind: str, alpha: float, rho: float, h_ok: float):
-    g, name, L = _graph_and_length(kind)
+    g, name, L = oracle_graph(kind)
     fine = build_mesh(g, h_ok)
     pts = fine.node_points()
     w = lump_mass(assemble_mass(fine))
@@ -104,17 +106,13 @@ def _check_truncation(name, pts, alpha, p, L, sigma):
     idx = np.linspace(0, len(pts) - 1, 8).astype(int)
     sub = [pts[i] for i in idx]
     if name == "tadpole":
-        from .oracle import tadpole_cov_exact
         a = tadpole_cov_exact(sub, alpha, p.kappa, p.tau)
         b = tadpole_cov_exact(sub, alpha, p.kappa, p.tau, n_wraps=40)
     else:
         a = exact_covariance(name, sub, alpha, p.kappa, p.tau, L)
         ts = np.array([q.t for q in sub])
-        from .oracle import wrapped_matern
-        per = 2 * L if name == "interval" else L
-        b = wrapped_matern(ts[:, None] - ts[None, :], p, per, n_wraps=60)
-        if name == "interval":
-            b = b + wrapped_matern(ts[:, None] + ts[None, :], p, per, n_wraps=60)
+        fold = folded_interval if name == "interval" else folded_circle
+        b = fold(ts[:, None], ts[None, :], p, L, n_wraps=60)
     tail = np.abs(a - b).max()
     # adaptive wraps leave a machine-level tail, far below any FEM error the
     # harness can observe; anything bigger means the oracle cannot referee

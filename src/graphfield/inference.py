@@ -29,7 +29,6 @@ from scipy.sparse import coo_matrix, csr_matrix
 from .cholesky import SparseCholesky, same_pattern
 from .field import FieldModel, log_linear, variance_stationary_model
 from .fractional import RationalError
-from .graph import GraphPoint
 from .mesh import Mesh
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import GraphError, GraphPoint, MetricGraph
+from .graph import GraphPoint, MetricGraph
 
 # points closer than this (relative to a segment) to a mesh node snap to it;
 # hat "tips" are not differentiable, so boundary points resolve to the node
@@ -135,9 +135,6 @@ class Mesh:
                 cols.append(node)
                 vals.append(w)
         return csr_matrix((vals, (rows, cols)), shape=(len(points), self.n_nodes))
-
-    def interpolate(self, node_values: np.ndarray, s: GraphPoint) -> float:
-        return float(sum(w * node_values[n] for n, w in self.eval_basis(s)))
 
 
 def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:

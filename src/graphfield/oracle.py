@@ -2,8 +2,8 @@
 
 These are the ground truths the FEM/rational pipeline is validated against:
 
-* the Matern covariance built on a self-contained modified Bessel K_nu
-  (Temme series for small arguments, Steed continued fraction for large);
+* the Matern covariance, with the modified Bessel K_nu from
+  ``scipy.special.kv``;
 * folded Matern sums for the interval (Neumann reflections) and the circle
   (periodic wrapping);
 * the tadpole covariance, both as a truncated Mercer series over the known
@@ -21,129 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-# Taylor coefficients of 1/Gamma(1+z); used to evaluate the reciprocal-gamma
-# difference quotient without cancellation for tiny orders.
-_RG = (
-    1.0,
-    0.5772156649015328606,
-    -0.6558780715202538811,
-    -0.0420026350340952355,
-    0.1665386113822914895,
-    -0.0421977345555443367,
-    -0.0096219715278769736,
-    0.0072189432466630995,
-)
 
-_EPS = np.finfo(float).eps
+def bessel_kv(nu: float, x):
+    """Modified Bessel function of the second kind K_nu(x) for real nu and
+    x >= 0, by ``scipy.special.kv``.
 
-
-def _gam_terms(mu: float):
-    """gam1 = (1/G(1-mu) - 1/G(1+mu))/(2 mu), gam2 = (... + ...)/2, and the
-    reciprocal gammas themselves."""
-    gampl = 1.0 / math.gamma(1.0 + mu)
-    gammi = 1.0 / math.gamma(1.0 - mu)
-    if abs(mu) < 1e-3:
-        gam1 = -(_RG[1] + _RG[3] * mu**2 + _RG[5] * mu**4 + _RG[7] * mu**6)
-    else:
-        gam1 = (gammi - gampl) / (2.0 * mu)
-    gam2 = (gammi + gampl) / 2.0
-    return gam1, gam2, gampl, gammi
-
-
-def _kv_temme(mu: float, x: np.ndarray):
-    """K_mu and K_{mu+1} for |mu| <= 1/2 and 0 < x <= 2 (Temme's series)."""
-    gam1, gam2, gampl, gammi = _gam_terms(mu)
-    x2 = 0.5 * x
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-    d = -np.log(x2)
-    e = mu * d
-    fact2 = np.where(np.abs(e) < 1e-15, 1.0, np.sinh(e) / np.where(e == 0, 1.0, e))
-    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    ksum = ff.copy()
-    ee = np.exp(e)
-    p = 0.5 * ee / gampl
-    q = 0.5 / (ee * gammi)
-    c = np.ones_like(x)
-    d2 = x2 * x2
-    ksum1 = p.copy()
-    for i in range(1, 500):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= d2 / i
-        p /= i - mu
-        q /= i + mu
-        delta = c * ff
-        ksum += delta
-        ksum1 += c * (p - i * ff)
-        if np.all(np.abs(delta) < np.abs(ksum) * _EPS):
-            break
-    return ksum, ksum1 * (2.0 / x)
-
-
-def _kv_cf2(mu: float, x: np.ndarray):
-    """K_mu and K_{mu+1} for |mu| <= 1/2 and x > 2 (Steed's CF2)."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    delh = d.copy()
-    h = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25 - mu * mu
-    q = a1 * np.ones_like(x)
-    c = a1
-    aa = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 5000):
-        aa -= 2 * (i - 1)
-        c = -aa * c / i
-        qnew = (q1 - b * q2) / aa
-        q1 = q2
-        q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + aa * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if np.all(np.abs(dels) < np.abs(s) * _EPS):
-            break
-    h = a1 * h
-    kmu = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / s
-    kmu1 = kmu * (mu + x + 0.5 - h) / x
-    return kmu, kmu1
-
-
-def bessel_kv(nu: float, x) -> np.ndarray:
-    """Modified Bessel function of the second kind K_nu(x), real nu >= 0.
-
-    Vectorized over x > 0 (x = 0 yields inf).  Accuracy is near machine
-    precision over the ranges used by the Matern covariance.
+    Vectorized over x; x = 0 yields inf, K_{-nu} = K_nu, x < 0 raises
+    ValueError, and a 0-d x returns a float.
     """
-    if nu < 0:
-        return bessel_kv(-nu, x)  # K_{-nu} = K_nu
+    from scipy.special import kv  # imported here: scipy.special is slow to import
+
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     if np.any(x < 0):
         raise ValueError("bessel_kv requires x >= 0")
-    out = np.empty_like(x)
-    out[x == 0] = np.inf
-    pos = x > 0
-    xp = x[pos]
-    nl = int(math.floor(nu + 0.5))
-    mu = nu - nl
-    kmu = np.empty_like(xp)
-    kmu1 = np.empty_like(xp)
-    small = xp <= 2.0
-    if np.any(small):
-        kmu[small], kmu1[small] = _kv_temme(mu, xp[small])
-    if np.any(~small):
-        kmu[~small], kmu1[~small] = _kv_cf2(mu, xp[~small])
-    for j in range(nl):
-        kmu, kmu1 = kmu1, (mu + j + 1) * (2.0 / xp) * kmu1 + kmu
-    out[pos] = kmu
-    return float(out[0]) if scalar else out
+    out = kv(abs(nu), x)
+    return float(out) if x.ndim == 0 else out
 
 
 # -- Matern covariance --------------------------------------------------------
@@ -201,38 +93,6 @@ def matern(h, p: MaternParams):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Truncation controls for the series oracles: wrap count for folded sums
-    and eigenpair count for the tadpole Mercer series, with tail estimates."""
-
-    n_wraps: int
-    n_mercer: int
-
-    def __post_init__(self):
-        if self.n_wraps < 1 or self.n_mercer < 1:
-            raise ValueError("truncation counts must be >= 1")
-
-    @classmethod
-    def default(cls, p: MaternParams, period: float = 2.0,
-                n_mercer: int = 2000) -> "TruncationSpec":
-        return cls(_default_wraps(p, period), n_mercer)
-
-    def wrap_tail_estimate(self, p: MaternParams, period: float) -> float:
-        """Bound on the first omitted wrap term (relative to sigma^2)."""
-        d = (self.n_wraps + 1) * period - period
-        return float(matern(d, p) / p.sigma2)
-
-    def mercer_tail_estimate(self, alpha: float, kappa: float) -> float:
-        """Integral bound on the omitted Mercer tail relative to the leading
-        term; Theta(K^{1-2 alpha}), so small alpha converges slowly."""
-        lam = (self.n_mercer * math.pi / 2) ** 2
-        lead = kappa ** (-2 * alpha)
-        tail = (math.pi / 2) ** (-2 * alpha) * self.n_mercer ** (1 - 2 * alpha) \
-            / (2 * alpha - 1)
-        return 2.0 * tail / lead if lam > kappa**2 else float("inf")
-
-
 def _default_wraps(p: MaternParams, period: float) -> int:
     # wrap terms decay like exp(-kappa * period * k); 45 e-foldings leave the
     # truncation tail far below double precision of the leading term
@@ -240,13 +100,16 @@ def _default_wraps(p: MaternParams, period: float) -> int:
 
 
 def wrapped_matern(z, p: MaternParams, period: float, n_wraps: int | None = None):
-    """sum_k C(z + k * period) over k = -n..n (n chosen adaptively by default)."""
+    """sum_k C(z + k * period) over k = -n..n (n chosen adaptively by default),
+    evaluated once per distinct value of z."""
     z = np.asarray(z, dtype=float)
+    uniq, inv = np.unique(z, return_inverse=True)
     n = _default_wraps(p, period) if n_wraps is None else int(n_wraps)
-    total = matern(z, p)
+    total = matern(uniq, p)
     for k in range(1, n + 1):
-        total = total + matern(z + k * period, p) + matern(z - k * period, p)
-    return total
+        total = total + matern(uniq + k * period, p) + matern(uniq - k * period, p)
+    out = total[inv].reshape(z.shape)
+    return float(out) if z.ndim == 0 else out
 
 
 def folded_interval(s1, s2, p: MaternParams, length: float, n_wraps: int | None = None):
@@ -326,15 +189,6 @@ def tadpole_cov(s1, s2, alpha: float, kappa: float, tau: float = 1.0,
                  tadpole_cov_mercer([s1], alpha, kappa, tau, n_terms)[0, 0])
 
 
-def _f4_table(args, p: MaternParams, n_wraps=None):
-    """Evaluate the period-4 wrapped Matern on a (possibly huge) argument
-    array by collapsing to unique values first."""
-    flat = np.asarray(args, float).ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    vals = wrapped_matern(uniq, p, 4.0, n_wraps)
-    return vals[inv].reshape(np.shape(args))
-
-
 def tadpole_cov_exact(points, alpha: float, kappa: float, tau: float = 1.0,
                       n_wraps: int | None = None) -> np.ndarray:
     """Tadpole covariance matrix in closed form.
@@ -358,7 +212,7 @@ def tadpole_cov_exact(points, alpha: float, kappa: float, tau: float = 1.0,
     loop = np.where(edges == 1)[0]
 
     def F(z):
-        return _f4_table(z, p, n_wraps)
+        return wrapped_matern(z, p, 4.0, n_wraps)
 
     if len(tail):
         t = ts[tail]
@@ -394,20 +248,10 @@ def exact_covariance(kind: str, points, alpha: float, kappa: float, tau: float,
     p = MaternParams.from_alpha(alpha, kappa, tau)
     ts = np.array([q.t for q in points])
     if kind == "interval":
-        L = 1.0 if length is None else length
-        d = _unique_eval(ts[:, None] - ts[None, :], lambda z: wrapped_matern(z, p, 2 * L))
-        s = _unique_eval(ts[:, None] + ts[None, :], lambda z: wrapped_matern(z, p, 2 * L))
-        return d + s
+        return folded_interval(ts[:, None], ts[None, :], p, 1.0 if length is None else length)
     if kind == "circle":
-        L = 2.0 if length is None else length
-        return _unique_eval(ts[:, None] - ts[None, :], lambda z: wrapped_matern(z, p, L))
+        return folded_circle(ts[:, None], ts[None, :], p, 2.0 if length is None else length)
     raise ValueError(f"no exact covariance for graph kind {kind!r}")
-
-
-def _unique_eval(args, func):
-    flat = np.asarray(args, float).ravel()
-    uniq, inv = np.unique(flat, return_inverse=True)
-    return func(uniq)[inv].reshape(np.shape(args))
 
 
 # -- dense spectral oracle for the discrete operator ----------------------------

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import eigsh
 
-from graphfield.assembly import (AssumptionError, assemble_mass,
-                                 assemble_stiffness, dump_coordinate_format,
+from graphfield.assembly import (AssumptionError, assemble_mass, assemble_stiffness,
                                  kappa_mass_diagonal, lump_mass, operator_matrix)
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
 from graphfield.mesh import build_mesh
@@ -165,17 +164,6 @@ def test_kirchhoff_flux_balance_converges():
         fluxes.append(abs(total))
     assert fluxes[2] < fluxes[0]
     assert fluxes[2] < 0.05
-
-
-def test_dump_coordinate_format(tmp_path):
-    mesh = build_mesh(interval_graph(1.0), 0.5)
-    C = assemble_mass(mesh)
-    path = tmp_path / "c.txt"
-    dump_coordinate_format(C, path)
-    rows = [line.split() for line in path.read_text().splitlines()]
-    got = {(int(i), int(j)): float(v) for i, j, v in rows}
-    for (i, j), v in got.items():
-        assert v == C.toarray()[i, j]  # 17 significant digits round-trip
 
 
 def per_segment_reference(mesh, local):

@@ -279,6 +279,11 @@ def test_non_finite_expression_reported(tmp_path, capsys, expr):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
+    """`import graphfield.cli` loads neither scipy.special nor scipy.optimize
+    (both are slow to import and imported where they are used), and every
+    module it adds to what numpy and scipy load themselves is stdlib, numpy,
+    scipy or graphfield: no runtime dependency beyond numpy and scipy."""
+    import json
     import os
     import subprocess
     import sys
@@ -286,9 +291,18 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     import graphfield
 
     src = os.path.dirname(os.path.dirname(graphfield.__file__))
-    code = ("import sys, graphfield.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    code = ("import json, sys\n"
+            "import numpy, scipy.linalg.lapack, scipy.sparse.csgraph\n"
+            "deps = set(sys.modules)\n"
+            "import graphfield.cli\n"
+            "print(json.dumps({'slow': sorted(m for m in sys.modules\n"
+            "                                 if m.startswith(('scipy.special', 'scipy.optimize'))),\n"
+            "                  'added': sorted({m.partition('.')[0]\n"
+            "                                   for m in set(sys.modules) - deps})}))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = json.loads(out.stdout)
+    assert loaded["slow"] == []
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "graphfield"}
+    assert set(loaded["added"]) - allowed == set()

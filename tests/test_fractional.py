@@ -160,6 +160,19 @@ def test_svd_failure_raises_rational_error(monkeypatch):
         brasil(0.3701, 2)
 
 
+def test_underflowing_denominator_names_alpha_and_m():
+    with pytest.raises(RationalError,
+                       match=r"denominator vanishes at 0 for \{alpha\} = 0.02, m = 12: "):
+        brasil(0.02, 12)
+
+
+def test_missing_pole_names_alpha_and_m():
+    with pytest.raises(RationalError,
+                       match=r"expected 7 simple poles for \{alpha\} = 0.95, m = 7, "
+                             r"found 6 sign changes"):
+        partial_fractions(brasil(0.95, 7))
+
+
 # -- the lockstep extremum search against the scalar reference --------------------
 
 

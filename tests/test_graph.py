@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfield.graph import (GraphError, GraphPoint, MetricGraph, builtin_graph,
-                              circle_graph, interval_graph, practical_range,
-                              star_graph, tadpole_graph, validate)
+                              interval_graph, star_graph, tadpole_graph, validate)
 from graphfield.mesh import build_mesh
 from strategies import random_meshes
 
@@ -175,40 +173,8 @@ def test_builtin_graphs():
         builtin_graph("moebius")
 
 
-def test_practical_range_saturates_at_diameter():
-    g = interval_graph(3.0)
-    pts = [GraphPoint(0, t) for t in np.linspace(0, 3, 61)]
-    row = np.ones(61)
-    sd = np.ones(61)
-    d = practical_range(g, pts, row, sd, GraphPoint(0, 0.0))
-    assert d >= 3.0  # never drops below threshold: diameter estimate
-
-
-def test_practical_range_exponential():
-    # correlation e^{-2 d}: crosses 0.1 at ln(10)/2 = 1.1513
-    g = interval_graph(3.0)
-    pts = [GraphPoint(0, t) for t in np.linspace(0, 3, 121)]
-    d = np.array([t.t for t in pts])
-    row = np.exp(-2 * d)
-    sd = np.ones(121)
-    got = practical_range(g, pts, row, sd, GraphPoint(0, 0.0))
-    assert abs(got - math.log(10) / 2) <= 0.025  # within one mesh cell
-
-
-def test_practical_range_threshold_one():
-    g = interval_graph(1.0)
-    pts = [GraphPoint(0, t) for t in np.linspace(0, 1, 11)]
-    row = np.exp(-np.array([t.t for t in pts]))
-    assert practical_range(g, pts, row, np.ones(11), GraphPoint(0, 0.0), threshold=1.0) == 0.0
-
-
 def test_graph_file_errors(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"vertices": [{"id": 0}], "edges": [{"id": 0, "from": 0}]}))
     with pytest.raises(GraphError, match="missing field"):
         MetricGraph.load(p)
-
-
-def test_circle_diameter_estimate():
-    g = circle_graph(2.0)
-    assert g.diameter_estimate() == pytest.approx(1.0)

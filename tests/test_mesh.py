@@ -86,7 +86,8 @@ def test_refinement_bounds():
 def test_interpolation_reproduces_linear_functions(t):
     mesh = build_mesh(interval_graph(2.0), 0.19)
     vals = np.array([3.0 * p.t - 1.0 for p in mesh.node_points()])
-    assert mesh.interpolate(vals, GraphPoint(0, t)) == pytest.approx(3.0 * t - 1.0, abs=1e-9)
+    got = (mesh.basis_matrix([GraphPoint(0, t)]) @ vals)[0]
+    assert got == pytest.approx(3.0 * t - 1.0, abs=1e-9)
 
 
 def test_node_points_cover_all_nodes():

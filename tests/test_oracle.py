@@ -7,7 +7,7 @@ import pytest
 from graphfield.assembly import operator_matrix
 from graphfield.graph import GraphPoint, interval_graph
 from graphfield.mesh import build_mesh
-from graphfield.oracle import (MaternParams, TruncationSpec, bessel_kv, exact_covariance,
+from graphfield.oracle import (MaternParams, bessel_kv, exact_covariance,
                                folded_circle, folded_interval, matern,
                                spectral_discrete_cov, tadpole_cov,
                                tadpole_cov_exact, tadpole_cov_mercer,
@@ -46,6 +46,20 @@ def test_bessel_general_order_vs_high_precision():
 def test_bessel_nu_15_at_one():
     want = float(mp.besselk(mp.mpf("1.5"), mp.mpf(1)))
     assert bessel_kv(1.5, 1.0) == pytest.approx(want, rel=1e-13)
+
+
+def test_bessel_kv_contract():
+    xs = np.array([[0.0, 0.5], [2.0, 30.0]])
+    got = bessel_kv(0.7, xs)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 2)
+    assert got[0, 0] == math.inf and bessel_kv(0.7, 0.0) == math.inf
+    assert np.array_equal(bessel_kv(-0.7, xs), got)  # K_{-nu} = K_nu
+    scalar = bessel_kv(1.3, 2.0)
+    assert type(scalar) is float
+    assert scalar == bessel_kv(-1.3, np.array([2.0]))[0]
+    for bad in (-1e-3, np.array([1.0, -2.0])):
+        with pytest.raises(ValueError):
+            bessel_kv(0.7, bad)
 
 
 def test_matern_exponential_case():
@@ -226,21 +240,9 @@ def test_exact_covariance_rejects_unknown_kind():
         exact_covariance("star", [GraphPoint(0, 0.0)], 1.0, 1.0, 1.0)
 
 
-def test_truncation_spec_defaults_and_tails():
-    p = MaternParams(0.6, 4.0, 1.0)
-    ts = TruncationSpec.default(p, period=2.0)
-    assert ts.wrap_tail_estimate(p, 2.0) < 1e-14
-    # the Mercer tail estimate reflects the K^{1-2 alpha} law
-    slow = ts.mercer_tail_estimate(0.75, 2.0)
-    fast = ts.mercer_tail_estimate(2.0, 2.0)
-    assert fast < 1e-8 < slow
-    with pytest.raises(ValueError):
-        TruncationSpec(0, 10)
-
-
 def test_folded_interval_explicit_wraps_match_spec_rule():
+    # the default wrap rule leaves no visible tail against many more wraps
     p = MaternParams(0.75, 2.0, 1.0)
-    ts = TruncationSpec.default(p, period=2.0)
-    a = folded_interval(0.3, 0.4, p, 1.0, n_wraps=ts.n_wraps)
-    b = folded_interval(0.3, 0.4, p, 1.0, n_wraps=2 * ts.n_wraps)
+    a = folded_interval(0.3, 0.4, p, 1.0)
+    b = folded_interval(0.3, 0.4, p, 1.0, n_wraps=60)
     assert abs(a - b) < 1e-12 * p.sigma2
