@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from .assembly import AssumptionError
 from .cholesky import NotSPDError
 from .exprs import CoefficientExpression, ExpressionError
 from .field import FieldError, FieldModel, variance_stationary_model
-from .fractional import ORDER_CAP, RationalError, brasil, partial_fractions
+from .fractional import ORDER_CAP, RationalError, brasil, fractional_part, partial_fractions
 from .graph import GraphError, GraphPoint, MetricGraph, builtin_graph, validate
 from .harness import (DEFAULT_CALIBRATION_C, error_grid, oracle_graph, rate_experiment,
                       rates_table, write_records_csv, write_rates_csv)
@@ -91,15 +92,23 @@ def read_observations(path, sigma_e) -> ObservationSet:
     """Observation CSV: edge_id, t, value, replicate (header optional)."""
     rows = []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        for line, row in enumerate(csv.reader(f), start=1):
             if not row or not row[0].strip():
                 continue
             try:
                 eid = int(row[0])
-            except ValueError:
-                continue  # header line
-            rep = int(row[3]) if len(row) > 3 else 0
-            rows.append((eid, float(row[1]), float(row[2]), rep))
+                t, v = float(row[1]), float(row[2])
+                rep = int(row[3]) if len(row) > 3 else 0
+            except (ValueError, IndexError):
+                if not rows and not row[0].strip().lstrip("+-").isdigit():
+                    continue  # header line
+                raise CliError(f"{path}, line {line}: expected edge_id,t,value[,replicate] "
+                               f"as integer,number,number[,integer], got {','.join(row)!r}") \
+                    from None
+            if not (math.isfinite(t) and math.isfinite(v)):
+                raise CliError(f"{path}, line {line}: t and value must be finite, "
+                               f"got {row[1]!r} and {row[2]!r}")
+            rows.append((eid, t, v, rep))
     if not rows:
         raise CliError(f"no observations found in {path}")
     locs = {}
@@ -154,15 +163,14 @@ def cmd_mesh(args):
 
 
 def cmd_rational(args):
-    ra = brasil(args.alpha - int(args.alpha) if args.alpha >= 1 else args.alpha,
+    # a non-positive alpha reaches brasil as given, which rejects it
+    ra = brasil(fractional_part(args.alpha) if args.alpha > 0 else args.alpha,
                 args.m, b=args.b)
     pf = partial_fractions(ra)
     out = {
         "alpha_frac": ra.alpha_frac,
         "m": ra.m,
         "interval": ra.interval,
-        "numerator": list(ra.numerator),
-        "denominator": list(ra.denominator),
         "sup_error": ra.sup_error,
         "equioscillation_ratio": ra.equioscillation_ratio,
         "poles": list(pf.poles),

@@ -38,7 +38,7 @@ from .assembly import (coefficient_at_nodes, operator_matrix, positive_coefficie
                        shift_diagonal)
 from .cholesky import Analysis, NotSPDError, SparseCholesky, same_pattern
 from .fractional import (ORDER_CAP, PartialFractions, brasil, calibrate_order,
-                         partial_fractions)
+                         fractional_part, partial_fractions)
 from .graph import GraphPoint
 from .mesh import Mesh
 
@@ -90,8 +90,8 @@ class FieldModel:
         kappa_nodes = positive_coefficient(mesh, kappa, "kappa")
         tau_nodes = positive_coefficient(mesh, tau, "tau")
         L, c_diag = operator_matrix(mesh, kappa_nodes)
-        frac = alpha - math.floor(alpha)
-        integer = frac < 1e-12 or frac > 1 - 1e-12
+        frac = fractional_part(alpha)
+        integer = frac == 0.0
         if integer:
             m = 0
         elif m is None:

@@ -56,8 +56,6 @@ class RationalApprox:
     alpha_frac: float
     m: int
     interval: float
-    numerator: tuple      # a_0..a_m, monomial basis on [0, interval]
-    denominator: tuple    # b_0..b_m, normalized so b_0 = 1
     sup_error: float
     equioscillation_ratio: float
     extrema: tuple        # locations on [0, interval]
@@ -262,20 +260,10 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, maxiter: int = 1000) -> Ra
     # alternating signs at the extrema certify minimax optimality
     signs = np.sign(signed)
     alternating = bool(np.all(signs[1:] * signs[:-1] < 0))
-    num1, den1 = _monomial_coeffs(y, fy, w, alpha_frac)
-    # the denominator must be pole-free on the approximation interval; the
-    # monomial form is only trustworthy at moderate orders (partial_fractions
-    # re-validates via the bracketed pole locations at any order)
-    if m <= 8:
-        q_on_grid = np.polyval(den1[::-1], np.linspace(0.0, 1.0, 4096))
-        if np.min(q_on_grid) * np.max(q_on_grid) <= 0:
-            raise RationalError("denominator changes sign on the interval")
     approx = RationalApprox(
         alpha_frac=float(alpha_frac),
         m=int(m),
         interval=float(b),
-        numerator=tuple(b**alpha_frac * num1 / b ** np.arange(m + 1)),
-        denominator=tuple(den1 / b ** np.arange(m + 1)),
         sup_error=float(sup * b**alpha_frac),
         equioscillation_ratio=float(ratio),
         extrema=tuple(loc * b),
@@ -294,57 +282,37 @@ def brasil(alpha_frac: float, m: int, b: float = 1.0, maxiter: int = 1000) -> Ra
     return approx
 
 
-def _monomial_coeffs(y, fy, w, alpha_frac):
-    """Expand the barycentric numerator/denominator into monomial coefficients
-    (a_0..a_m), (b_0..b_m) with the denominator normalized to b_0 = 1;
-    alpha_frac only names the approximation in errors."""
-    mm = len(y)
-    num = np.zeros(mm)
-    den = np.zeros(mm)
-    for j in range(mm):
-        pj = np.poly(np.delete(y, j))  # highest power first
-        num += w[j] * fy[j] * pj
-        den += w[j] * pj
-    num = num[::-1]  # a_0 .. a_m
-    den = den[::-1]
-    if den[0] == 0:
-        raise RationalError(
-            f"denominator vanishes at 0 for {{alpha}} = {alpha_frac:.6g}, m = {mm - 1}: "
-            f"support points reach {np.min(y):.3g} and the monomial expansion underflows; "
-            "the fractional part of alpha is too small for this order"
-        )
-    return num / den[0], den / den[0]
-
-
 # -- partial fractions ------------------------------------------------------------
 
 
 @lru_cache(maxsize=256)
 def partial_fractions(approx: RationalApprox) -> PartialFractions:
-    """Decompose r(1/lambda) = k + sum r_i/(lambda - p_i).
+    """Decompose r(1/lambda) = k + sum r_i/(lambda - p_i), read off the
+    barycentric form r(x) = n(x)/d(x), n = sum w f/(x - y), d = sum w/(x - y).
 
     Memoized: both dataclasses are frozen, and `brasil` returns equal
     approximations for equal arguments.
 
-    Poles are found as bracketed sign changes of the barycentric denominator
-    on the negative axis (they interlace the support-point magnitudes), which
-    stays accurate when they span many orders of magnitude.  Sign constraints
-    (r_i, k > 0, p_i < 0) are validated; violations raise RationalError.
+    The poles x_i of r are the zeros of d on the negative axis; they interlace
+    the support-point magnitudes, so each is bracketed by a sign change of d on
+    a log grid and the m brackets are bisected together in log |x|, which
+    stays accurate when the poles span many orders of magnitude.  With
+    p_i = 1/x_i, the residue is r_i = -n(x_i)/(x_i^2 d'(x_i)) and k = r(0).
+    Sign constraints (r_i, k > 0, p_i < 0) are validated; violations raise
+    RationalError.
     """
     y = np.array(approx.support)
     fy = np.array(approx.support_values)
     w = np.array(approx.weights)
     m = approx.m
 
-    # roots of sum w_j/(x - y_j) at x = -u, u > 0
-    def h(u):
-        return float(np.sum(w / (u + y)))
+    def h(u):  # -d(-u) at each u > 0
+        return (w / (u[:, None] + y)).sum(axis=1)
 
-    ys = np.sort(y)
-    lo, hi = ys[0] / 100.0, ys[-1] * 100.0
+    lo, hi = y.min() / 100.0, y.max() * 100.0
     ngrid = max(64, int(math.log10(hi / lo) * 256))
     grid = np.geomspace(lo, hi, ngrid)
-    vals = np.sum(w[None, :] / (grid[:, None] + y[None, :]), axis=1)
+    vals = h(grid)
     idx = np.nonzero(np.sign(vals[1:]) != np.sign(vals[:-1]))[0]
     if len(idx) != m:
         raise RationalError(
@@ -352,19 +320,21 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
             f"found {len(idx)} sign changes of the denominator on [-{hi:.3g}, -{lo:.3g}] "
             "(repeated or complex poles, or a pole outside that range)"
         )
-    from scipy.optimize import brentq  # imported here: scipy.optimize is slow to import
+    a, b = np.log(grid[idx]), np.log(grid[idx + 1])
+    sign_a = np.sign(vals[idx])
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        right = np.sign(h(np.exp(mid))) == sign_a  # the root lies in [mid, b]
+        a = np.where(right, mid, a)
+        b = np.where(right, b, mid)
+    xpoles = -np.exp(0.5 * (a + b))
 
-    xpoles = np.empty(m)
-    for i, g in enumerate(idx):
-        v = brentq(lambda lv: h(math.exp(lv)), math.log(grid[g]), math.log(grid[g + 1]),
-                   xtol=2e-16, rtol=8.9e-16)
-        xpoles[i] = -math.exp(v)
-
-    k1, r1 = _residue_form(y, fy, w, xpoles)
-    p1 = 1.0 / xpoles
+    diff = xpoles[:, None] - y
+    r1 = (w * fy / diff).sum(axis=1) / (xpoles**2 * (w / diff**2).sum(axis=1))
+    k1 = np.sum(w * fy / y) / np.sum(w / y)
 
     pf = PartialFractions(
-        residues=tuple(r1), poles=tuple(p1), k=float(k1),
+        residues=tuple(r1), poles=tuple(1.0 / xpoles), k=float(k1),
         alpha_frac=approx.alpha_frac, interval=1.0,
     ).rescaled(approx.interval)
     # an overflowing residue is +inf and would pass the sign check below
@@ -376,31 +346,14 @@ def partial_fractions(approx: RationalApprox) -> PartialFractions:
     return pf
 
 
-def _residue_form(y, fy, w, xpoles):
-    """k and the residues of k + sum r_i/(lambda - 1/xpoles_i), read off the
-    barycentric numerator and the derivative of its denominator (both in
-    product form) at x = 0 and at the poles xpoles of the x variable."""
-    # Products over the support points other than j (row j of `drop1`), or
-    # other than j and l (rows of `drop2`, pairs (j, l) in row-major order),
-    # each in support order; np.prod multiplies and np.cumsum adds strictly
-    # left to right, so every value is that of a loop over j (and l).
-    kk = len(y)
-    others = ~np.eye(kk, dtype=bool)
-    jj, ll = np.nonzero(others)
-    drop1 = ll.reshape(kk, kk - 1)
-    drop2 = np.nonzero(others[jj] & others[ll])[1].reshape(len(jj), kk - 2)
-
-    def numer(x):
-        return np.cumsum(w * fy * np.prod((x - y)[drop1], axis=1))[-1]
-
-    def denom_prime(x):
-        return np.cumsum(w[jj] * np.prod((x - y)[drop2], axis=1))[-1]
-
-    denom0 = np.cumsum(w * np.prod((-y)[drop1], axis=1))[-1]
-    return numer(0.0) / denom0, np.array([-numer(x) / (x**2 * denom_prime(x)) for x in xpoles])
-
-
 # -- order calibration ------------------------------------------------------------
+
+def fractional_part(alpha: float) -> float:
+    """{alpha} = alpha - floor(alpha), snapped to 0 within 1e-12 of an
+    integer: the rule by which integer alpha bypasses the rational stage."""
+    frac = alpha - math.floor(alpha)
+    return 0.0 if frac < 1e-12 or frac > 1 - 1e-12 else frac
+
 
 def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
     """Rational order balancing FEM and rational error terms:
@@ -411,8 +364,8 @@ def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
     """
     if alpha <= 0.5:
         raise ValueError("alpha must exceed 1/2")
-    frac = alpha - math.floor(alpha)
-    if frac < 1e-12 or frac > 1 - 1e-12:
+    frac = fractional_part(alpha)
+    if frac == 0.0:
         return 0
     if not (0.0 < h < 1.0):
         raise ValueError("order calibration assumes a mesh width h in (0, 1)")

@@ -75,7 +75,11 @@ class MetricGraph:
 
         self.edges: list[Edge] = []
         for k, e in enumerate(edges):
-            u, v, length = e[0], e[1], float(e[2])
+            u, v = e[0], e[1]
+            try:
+                length = float(e[2])
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {k}: length {e[2]!r} is not a number") from None
             geom = None
             if len(e) > 3 and e[3] is not None:
                 geom = tuple((float(p[0]), float(p[1])) for p in e[3])

@@ -1,7 +1,6 @@
-"""Loop references for the tests of `fractional`, which must reproduce them
+"""Scalar reference for the tests of `fractional`, which must reproduce it
 bit for bit: the equilibration of `_brasil_canonical` with a scalar extremum
-search (one subinterval and one golden-section point at a time), and the
-residue products of `_residue_form` as loops over the support points.
+search (one subinterval and one golden-section point at a time).
 """
 
 import math
@@ -92,21 +91,3 @@ def scalar_brasil_canonical(alpha_frac, m, maxiter=1000):
         lengths /= lengths.sum()
         nodes = np.cumsum(lengths)[:-1]
     return best
-
-
-def loop_residue_form(y, fy, w, xpoles):
-    """k and the residues as `fractional._residue_form` returns them, by
-    explicit loops over the support points."""
-    def numer(x):
-        return sum(w[j] * fy[j] * np.prod(x - np.delete(y, j)) for j in range(len(y)))
-
-    def denom_prime(x):
-        tot = 0.0
-        for j in range(len(y)):
-            yk = np.delete(y, j)
-            for el in range(len(yk)):
-                tot += w[j] * np.prod(x - np.delete(yk, el))
-        return tot
-
-    denom0 = sum(w[j] * np.prod(-np.delete(y, j)) for j in range(len(y)))
-    return numer(0.0) / denom0, np.array([-numer(x) / (x**2 * denom_prime(x)) for x in xpoles])

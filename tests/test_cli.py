@@ -47,6 +47,18 @@ def test_graph_validate_disconnected(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["abc", None])
+def test_non_numeric_edge_length_named(tmp_path, capsys, length):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}],
+                             "edges": [{"id": 0, "from": 0, "to": 1, "length": length}]}))
+    message = f"edge 0: length {length!r} is not a number"
+    assert run(["graph", "validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["mesh", str(p), "--h", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mesh_command(tmp_path, capsys):
     nodes = tmp_path / "nodes.csv"
     assert run(["mesh", "tadpole", "--h", "0.25", "--dump", str(nodes)]) == 0
@@ -196,6 +208,21 @@ def test_read_observations_replicates(tmp_path):
     assert obs.matrix.shape == (2, 2)
 
 
+@pytest.mark.parametrize("content, line", [
+    ("edge_id,t,value\n0,0.1,1.0\n0,0.5,abc\n", 3),
+    ("0,0.1,1.0\n0,0.5,nan\n", 2),
+    ("0,0.1,inf\n", 1),
+], ids=["non-numeric", "nan", "inf"])
+def test_bad_observation_field_names_file_and_line(tmp_path, capsys, content, line):
+    obs = tmp_path / "obs.csv"
+    obs.write_text(content)
+    argv = ["krige", "interval:1", str(obs), "--h", "0.1", "--alpha", "1.0",
+            "--sigma-e", "0.1", "--out", str(tmp_path / "k.csv")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {obs}, line {line}: ")
+    assert not (tmp_path / "k.csv").exists()
+
+
 def test_expression_language():
     e = CoefficientExpression("exp(0.05*(x - y)) + 0.0*t")
     mesh = build_mesh(interval_graph(2.0), 0.5)
@@ -279,10 +306,11 @@ def test_non_finite_expression_reported(tmp_path, capsys, expr):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    """`import graphfield.cli` loads neither scipy.special nor scipy.optimize
-    (both are slow to import and imported where they are used), and every
-    module it adds to what numpy and scipy load themselves is stdlib, numpy,
-    scipy or graphfield: no runtime dependency beyond numpy and scipy."""
+    """`import graphfield.cli` and building a fractional model load neither
+    scipy.special nor scipy.optimize (both are slow to import and imported
+    where they are used), and every module they add to what numpy and scipy
+    load themselves is stdlib, numpy, scipy or graphfield: no runtime
+    dependency beyond numpy and scipy."""
     import json
     import os
     import subprocess
@@ -295,6 +323,10 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
             "import numpy, scipy.linalg.lapack, scipy.sparse.csgraph\n"
             "deps = set(sys.modules)\n"
             "import graphfield.cli\n"
+            "from graphfield.field import FieldModel\n"
+            "from graphfield.graph import builtin_graph\n"
+            "from graphfield.mesh import build_mesh\n"
+            "FieldModel.build(build_mesh(builtin_graph('tadpole'), 0.1), 1.4, 1.0, 1.0)\n"
             "print(json.dumps({'slow': sorted(m for m in sys.modules\n"
             "                                 if m.startswith(('scipy.special', 'scipy.optimize'))),\n"
             "                  'added': sorted({m.partition('.')[0]\n"

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import graphfield.fractional as fractional
 from graphfield.fractional import (ORDER_CAP, NonConvergenceError, RationalError,
-                                   _bary_eval, _brasil_canonical, _residue_form, brasil,
-                                   calibrate_order, partial_fractions)
-from scalar_brasil import bary_eval_points, loop_residue_form, scalar_brasil_canonical
+                                   _bary_eval, _brasil_canonical, brasil, calibrate_order,
+                                   fractional_part, partial_fractions)
+from scalar_brasil import bary_eval_points, scalar_brasil_canonical
 
 
 def dense_sup_error(approx, n=100_000):
@@ -57,14 +57,16 @@ def test_equioscillation_certificate():
 
 def test_hand_case_m1_partial_fractions():
     ra = brasil(0.5, 1)
-    a0, a1 = ra.numerator
-    b0, b1 = ra.denominator
+    (y0, y1), (f0, f1), (w0, w1) = ra.support, ra.support_values, ra.weights
     pf = partial_fractions(ra)
-    # r(1/lam) = (a0 lam + a1)/(b0 lam + b1): pole -b1/b0, k = a0/b0,
-    # residue (a1 - a0 b1/b0)/b0 by elementary algebra
-    assert pf.k == pytest.approx(a0 / b0, rel=1e-12)
-    assert pf.poles[0] == pytest.approx(-b1 / b0, rel=1e-10)
-    assert pf.residues[0] == pytest.approx((a1 - a0 * b1 / b0) / b0, rel=1e-9)
+    # r(x) = n(x)/d(x) with d(x) = w0/(x - y0) + w1/(x - y1), whose one zero
+    # x* = (w0 y1 + w1 y0)/(w0 + w1) is the pole 1/x* in lambda = 1/x; k = r(0)
+    x_star = (w0 * y1 + w1 * y0) / (w0 + w1)
+    k = (w0 * f0 / y0 + w1 * f1 / y1) / (w0 / y0 + w1 / y1)
+    assert pf.k == pytest.approx(k, rel=1e-12)
+    assert pf.poles[0] == pytest.approx(1.0 / x_star, rel=1e-10)
+    lam = np.geomspace(1.0, 1e6, 7)
+    assert pf.evaluate(lam) == pytest.approx(ra.evaluate(1.0 / lam), rel=1e-9)
 
 
 def test_sign_constraints_alpha_half_m3():
@@ -160,10 +162,25 @@ def test_svd_failure_raises_rational_error(monkeypatch):
         brasil(0.3701, 2)
 
 
-def test_underflowing_denominator_names_alpha_and_m():
-    with pytest.raises(RationalError,
-                       match=r"denominator vanishes at 0 for \{alpha\} = 0.02, m = 12: "):
-        brasil(0.02, 12)
+# the pairs the other tier-1 tests solve, and three whose support points
+# reach 1e-20 and below
+DECOMPOSED_PAIRS = (
+    [(af, m) for af in (0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9)
+     for m in range(1, 7)]
+    + [(0.05, 1), (0.125, 14), (0.125, 16), (0.4, 16), (0.5, 8), (0.875, 2), (0.875, 3)]
+    + [(0.02, 12), (0.01, 8), (0.01, 16)]
+)
+
+
+def test_partial_fractions_match_approximant():
+    lam = np.geomspace(1e-2, 1e12, 2001)
+    for af, m in DECOMPOSED_PAIRS:
+        ra = brasil(af, m)
+        pf = partial_fractions(ra)
+        assert pf.k > 0 and all(r > 0 for r in pf.residues) \
+            and all(p < 0 for p in pf.poles), (af, m)
+        miss = np.abs(ra.evaluate(1.0 / lam) - pf.evaluate(lam)).max()
+        assert miss <= 0.1 * ra.sup_error, (af, m, miss / ra.sup_error)
 
 
 def test_missing_pole_names_alpha_and_m():
@@ -210,18 +227,6 @@ def test_stacked_evaluation_matches_one_point_calls(k, rows, hits, alpha_frac, s
         assert powers[i].tobytes() == np.power(np.asarray(points[i]), alpha_frac).tobytes()
 
 
-@pytest.mark.parametrize("alpha_frac, m", [(0.4, 16), (0.9, 3), (0.125, 14)])
-def test_residue_products_match_loops(alpha_frac, m):
-    ra = brasil(alpha_frac, m)
-    y, fy, w = (np.array(v) for v in (ra.support, ra.support_values, ra.weights))
-    xpoles = np.concatenate([1.0 / np.array(partial_fractions(ra).poles),
-                             -np.geomspace(1e-6, 10.0, 5)])
-    k, r = _residue_form(y, fy, w, xpoles)
-    k_ref, r_ref = loop_residue_form(y, fy, w, xpoles)
-    assert np.float64(k).tobytes() == np.float64(k_ref).tobytes()
-    assert r.tobytes() == r_ref.tobytes()
-
-
 def test_calibrate_order_values():
     # Eq.-(7) with natural log and c=1 (frozen from the formula itself)
     assert calibrate_order(0.75, 2.0**-5) == 1
@@ -234,6 +239,14 @@ def test_calibrate_order_values():
 def test_calibrate_order_integer_bypass():
     assert calibrate_order(1.0, 0.1) == 0
     assert calibrate_order(2.0, 0.01) == 0
+    assert calibrate_order(2.0 - 1e-13, 0.01) == 0
+
+
+def test_fractional_part_snaps_near_integers():
+    for alpha in (2.0, 3.0 - 1e-13, 1.0 + 1e-13):
+        assert fractional_part(alpha) == 0.0
+    assert fractional_part(0.75) == 0.75
+    assert fractional_part(1.4) == 1.4 - 1.0
 
 
 def test_calibrate_order_errors():
