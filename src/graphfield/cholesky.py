@@ -14,8 +14,14 @@ s >= bw columns.  On such blocks G is block lower-bidiagonal, so
     Z_{k+1,k} = -Z_{k+1,k+1} G_{k+1,k} G_kk^{-1}
     Z_kk      = G_kk^{-T} G_kk^{-1} - Z_{k+1,k}^T G_{k+1,k} G_kk^{-1}
 
-from the last block to the first.  That is O(n s^2) work in BLAS and
-O(n bw) memory, and gives every entry of Z within the band.
+from the last block to the first, with G_kk^{-1} from LAPACK's triangular
+inverse (dtrtri).  That is O(n s^2) work in BLAS and O(n bw) memory, and
+gives every entry of Z within the band.  `selected_inverses` sweeps a stack
+of nf factors of one order at once (the m+1 blocks of a field model): bands
+narrower than the widest are zero-padded, the products are batched matmuls
+over the stack, and the block size is s = max(bw, round(32 / nf^(1/3))), so
+that a step's O(nf s^3) work stays near that of one 32-column block of one
+factor.  A single factor is the stack of one.
 
 Factorization is split into a symbolic and a numeric step, as in CHOLMOD's
 analyse/factorize (Chen, Davis, Hager & Rajamanickam 2008).  `Analysis`
@@ -31,13 +37,17 @@ another) pay for the ordering once.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotri, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs, dtrtri
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-# Smallest column block of the selected-inverse sweep: below it the per-block
-# Python overhead outweighs the O(s^2) work saved per column.
-_MIN_BLOCK = 32
+# A step of the selected-inverse sweep over nf factors does O(nf s^3) work on
+# blocks of s columns; s is chosen so that this stays about _BLOCK^3, the work
+# below which the per-step Python overhead outweighs what smaller blocks save.
+_BLOCK = 32
+# Entries of the stacked bands held at once by a sweep over several factors
+# (0.5 MiB each for the factors and for their inverses).
+_SPAN = 1 << 16
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -189,45 +199,14 @@ class SparseCholesky:
         where j + d >= n); Z is symmetric, so this is every entry of Z with
         |i - j| <= bw.  `inverse_entries` maps back to A's numbering.
         """
-        n, bw, G = self.n, self.bw, self._G
-        s = max(bw, _MIN_BLOCK)
-        a = np.arange(s)
-        # G[c0 + r + i, c0 + j] sits in band row r + i - j of column c0 + j,
-        # with r = 0 for the diagonal block and r = s for the one below it
-        d = a[:, None] - a
-        diag_row, diag_in = np.clip(d, 0, bw), (d >= 0) & (d <= bw)
-        sub_row, sub_in = np.clip(d + s, 0, bw), d + s <= bw
-        rows = a + np.arange(bw + 1)[:, None]  # Z[j + d, j] within a column block
-        Z = np.zeros((bw + 1, n))
-        Z_next = None  # Z_{k+1,k+1}
-        for c0 in range((n - 1) // s * s, -1, -s):
-            w = min(s, n - c0)       # width of this block
-            h = min(s, n - c0 - w)   # height of the block below it
-            cols = c0 + a[:w]
-            G_kk = np.where(diag_in[:w, :w], G[diag_row[:w, :w], cols], 0.0)
-            inv, _ = dpotri(G_kk, lower=1)  # lower triangle of G_kk^{-T} G_kk^{-1}
-            column = np.zeros((w + s, w))   # [Z_kk; Z_{k+1,k}; zero padding]
-            column[:w] = inv + np.tril(inv, -1).T
-            if h:
-                G_sub = np.where(sub_in[:h, :w], G[sub_row[:h, :w], cols], 0.0)
-                # W = G_{k+1,k} G_kk^{-1}, from G_kk^T W^T = G_{k+1,k}^T
-                Wt, _ = dtrtrs(G_kk, G_sub.T, lower=1, trans=1)
-                Z_sub = -Z_next @ Wt.T
-                M = Z_sub.T @ Wt.T
-                column[:w] -= 0.5 * (M + M.T)
-                column[w:w + h] = Z_sub
-            Z[:, c0:c0 + w] = column[rows[:, :w], a[:w]]
-            Z_next = column[:w]
-        return Z
+        return selected_inverses([self])[0]
 
-    def selected_inverse_diag(self) -> np.ndarray:
-        """diag(A^{-1}) via the Takahashi recurrences."""
-        return self._unpermute(self.selected_inverse()[0])
-
-    def inverse_entries(self, rows, cols) -> np.ndarray:
+    def inverse_entries(self, rows, cols, Z=None) -> np.ndarray:
         """Entries (rows[t], cols[t]) of A^{-1}, all from one selected
-        inversion.  Every pair must lie within the band: A's own pattern does,
-        and extra_pattern at construction forces further pairs in."""
+        inversion: Z, this factor's selected_inverse() if given (e.g. from
+        `selected_inverses`), else a fresh one.  Every pair must lie within
+        the band: A's own pattern does, and extra_pattern at construction
+        forces further pairs in."""
         rows, cols = np.asarray(rows), np.asarray(cols)
         i, j = self._iperm[rows], self._iperm[cols]
         d = np.abs(i - j)
@@ -236,4 +215,71 @@ class SparseCholesky:
             t = outside[0]
             raise ValueError(f"entry ({rows.flat[t]}, {cols.flat[t]}) lies outside the "
                              f"computed band (bandwidth {self.bw})")
-        return self.selected_inverse()[d, np.minimum(i, j)]
+        if Z is None:
+            Z = self.selected_inverse()
+        return Z[d, np.minimum(i, j)]
+
+
+def selected_inverses(factors) -> list[np.ndarray]:
+    """[F.selected_inverse() for F in factors], from one Takahashi sweep over
+    the stack of factors (all of one order n; see the module docstring).
+    Several factors are swept through a buffer of a few band columns at a
+    time, so the memory beyond the returned bands stays bounded."""
+    n = factors[0].n
+    if any(F.n != n for F in factors):
+        raise ValueError("stacked factors must have equal order")
+    nf, bw = len(factors), max(F.bw for F in factors)
+    s = max(bw, round(_BLOCK / nf ** (1 / 3)), 1)
+    out = [np.empty((F.bw + 1, n)) for F in factors]
+    if nf == 1:  # swept in place
+        span, G_buf, Z_buf = n, factors[0]._G[None], out[0][None]
+    else:  # band columns [lo, lo + span) of all factors at a time
+        span = min(n, s * max(1, _SPAN // (nf * (bw + 1) * s)))
+        G_buf = np.zeros((nf, bw + 1, span))
+        Z_buf = np.empty_like(G_buf)
+    a = np.arange(s)
+    # G[c0 + r + i, c0 + j] sits in band row r + i - j of column c0 + j,
+    # with r = 0 for the diagonal block and r = s for the one below it
+    d = a[:, None] - a
+    diag_row, diag_in = np.clip(d, 0, bw), (d >= 0) & (d <= bw)
+    sub_row, sub_in = np.clip(d + s, 0, bw), d + s <= bw
+    rows = a + np.arange(bw + 1)[:, None]  # Z[j + d, j] within a column block
+    lo = n
+    Z_next = None  # Z_{k+1,k+1}
+    for c0 in range((n - 1) // s * s, -1, -s):
+        if c0 < lo:  # move the stack to the span holding this block
+            if nf > 1 and lo < n:
+                _unstack(Z, out, lo)
+            lo = c0 // span * span
+            width = min(span, n - lo)
+            G, Z = G_buf[:, :, :width], Z_buf[:, :, :width]
+            if nf > 1:
+                for g, F in zip(G, factors):
+                    g[:F.bw + 1] = F._G[:, lo:lo + width]
+        w = min(s, n - c0)       # width of this block
+        h = min(s, n - c0 - w)   # height of the block below it
+        cols = c0 - lo + a[:w]
+        inv = np.where(diag_in[:w, :w], G[:, diag_row[:w, :w], cols], 0.0)  # G_kk
+        for g in inv:
+            g[:], _ = dtrtri(g, lower=1)  # now G_kk^{-1}
+        Z_kk = inv.transpose(0, 2, 1) @ inv
+        column = np.zeros((nf, w + s, w))  # [Z_kk; Z_{k+1,k}; zero padding]
+        if h:
+            G_sub = np.where(sub_in[:h, :w], G[:, sub_row[:h, :w], cols], 0.0)
+            W = G_sub @ inv  # G_{k+1,k} G_kk^{-1}
+            Z_sub = -(Z_next @ W)
+            Z_kk -= Z_sub.transpose(0, 2, 1) @ W
+            column[:, w:w + h] = Z_sub
+        Z_kk = 0.5 * (Z_kk + Z_kk.transpose(0, 2, 1))
+        column[:, :w] = Z_kk
+        Z[:, :, cols] = column[:, rows[:, :w], a[:w]]
+        Z_next = Z_kk
+    if nf > 1 and n:
+        _unstack(Z, out, lo)
+    return out
+
+
+def _unstack(Z, out, lo):
+    """Copy each factor's rows of the swept stack Z, band columns lo on, to out."""
+    for z, o in zip(Z, out):
+        o[:, lo:lo + Z.shape[2]] = z[:o.shape[0]]

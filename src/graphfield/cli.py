@@ -78,14 +78,14 @@ def _write_manifest(out_path, args, t0, extra=None):
 
 
 def _write_node_csv(path, mesh, columns: dict):
-    """Node table: node, edge, t, then one column per entry of `columns`."""
+    """Node table: node, edge, t, then one column per entry of `columns`.
+    The rows are the bytes csv.writer would write, formatted by one % each."""
     rows = np.array(list(columns.values()), dtype=float).reshape(len(columns), mesh.N).T
+    line = "%d,%d," + ",".join([FMT] * (len(columns) + 1)) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["node", "edge", "t", *columns.keys()])
-        for i, (e, t, row) in enumerate(zip(mesh.node_edge.tolist(), mesh.node_t.tolist(),
-                                            rows.tolist())):
-            w.writerow([i, e, FMT % t, *(FMT % v for v in row)])
+        csv.writer(f).writerow(["node", "edge", "t", *columns.keys()])
+        f.write("".join([line % (i, e, t, *row) for i, (e, t, row) in enumerate(
+            zip(mesh.node_edge.tolist(), mesh.node_t.tolist(), rows.tolist()))]))
 
 
 def read_observations(path, sigma_e) -> ObservationSet:

@@ -36,7 +36,7 @@ from scipy.sparse import csr_matrix, diags
 
 from .assembly import (coefficient_at_nodes, operator_matrix, positive_coefficient,
                        shift_diagonal)
-from .cholesky import Analysis, NotSPDError, SparseCholesky, same_pattern
+from .cholesky import Analysis, NotSPDError, SparseCholesky, same_pattern, selected_inverses
 from .fractional import (ORDER_CAP, PartialFractions, brasil, calibrate_order,
                          fractional_part, partial_fractions)
 from .graph import GraphPoint
@@ -198,18 +198,20 @@ class FieldModel:
         with <W, Q> summed entrywise over block i's pattern and the weights W_i
         held fixed, with respect to log kappa and log tau at the nodes.
         weights[i] is aligned with the data of precision_blocks()[i].  The log
-        det term takes tr(Q_i^{-1} dQ_i) from one band selected inversion per
-        block factor.  Returns (d / d log kappa, d / d log tau)."""
+        det term takes tr(Q_i^{-1} dQ_i) from the band selected inverses of all
+        block factors, swept together.  Returns (d / d log kappa, d / d log tau)."""
         tau = self.tau_nodes
         tau_free = []
         # d log det(T Q_i T) / d log tau = 2 per node and block
         d_tau = np.full(self.N, -2.0 * self.n_blocks * logdet_scale)
-        for Q, F, w in zip(self._tau_free_blocks(), self.block_factors(), weights):
+        factors = self.block_factors()
+        for Q, F, Z, w in zip(self._tau_free_blocks(), factors,
+                              selected_inverses(factors), weights):
             rows = np.repeat(np.arange(self.N), np.diff(Q.indptr))
             v = w * (tau[rows] * tau[Q.indices])
             # d(T Q T) / d log tau_a scales entry (a, b) by [a] + [b]
             d_tau += 2 * np.bincount(rows, v * Q.data, minlength=self.N)
-            tau_free.append(v - logdet_scale * F.inverse_entries(rows, Q.indices))
+            tau_free.append(v - logdet_scale * F.inverse_entries(rows, Q.indices, Z))
         return self._kappa_gradient(tau_free), d_tau
 
     def _kappa_gradient(self, weights) -> np.ndarray:
@@ -347,13 +349,15 @@ class FieldModel:
         return out / self.tau_nodes
 
     def marginal_variance(self) -> np.ndarray:
-        """diag(Sigma_u) = sum_i diag(Q_i^{-1}) / tau^2, the tau-free sum by
-        selected inversion of each block factor, once per shared core."""
+        """diag(Sigma_u) = sum_i diag(Q_i^{-1}) / tau^2, the tau-free sum from
+        one selected inversion sweep over all block factors, once per shared
+        core."""
         core = self._core
         if core.variance is None:
+            factors = self.block_factors()
             out = np.zeros(self.N)
-            for F in self.block_factors():
-                out += F.selected_inverse_diag()
+            for F, Z in zip(factors, selected_inverses(factors)):
+                out[F.perm] += Z[0]
             core.variance = out
         return core.variance / self.tau_nodes**2
 
@@ -384,16 +388,44 @@ def _sym(M) -> csr_matrix:
     exactly symmetric M in canonical form with no stored zeros is returned
     as it is, which is what (M + M^T) / 2 would give entry for entry."""
     M = M if isinstance(M, csr_matrix) else csr_matrix(M)
-    T = M.T.tocsr()
+    T = M.T.tocsr()  # sorted indices
     if (M.has_canonical_format and np.array_equal(M.indptr, T.indptr)
             and np.array_equal(M.indices, T.indices) and np.array_equal(M.data, T.data)
             and M.data.all()):
         return M
-    asym = abs(M - M.T)
-    scale = max(abs(M).max(), 1.0)
-    if asym.nnz and asym.max() > 1e-8 * scale:
-        raise FieldError(f"assembled block asymmetric beyond tolerance ({asym.max():.2e})")
-    return ((M + M.T) * 0.5).tocsr()
+    data = _sorted_data(M, T)
+    if data is None:
+        asym = abs(M - M.T)
+        scale = max(abs(M).max(), 1.0)
+        if asym.nnz and asym.max() > 1e-8 * scale:
+            raise FieldError(f"assembled block asymmetric beyond tolerance ({asym.max():.2e})")
+        return ((M + M.T) * 0.5).tocsr()
+    # M and M^T share a pattern: add their data arrays in sorted order and
+    # drop the exact zeros, which gives the sparse route's arrays bit for bit
+    # (its abs(M) sorts M in place, so M + M.T is a canonical sum)
+    asym = np.abs(data - T.data).max(initial=0.0)
+    if asym > 1e-8 * max(np.abs(data).max(initial=0.0), 1.0):
+        raise FieldError(f"assembled block asymmetric beyond tolerance ({asym:.2e})")
+    indptr, indices, total = T.indptr, T.indices, data + T.data
+    keep = total != 0
+    if not keep.all():
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indptr.dtype)
+        indices, total = indices[keep], total[keep]
+    return csr_matrix((total * 0.5, indices, indptr), shape=M.shape)
+
+
+def _sorted_data(M, T):
+    """M's values in the storage order of T = M^T (CSR, sorted indices) when
+    M holds no duplicate entries and has T's pattern; else None."""
+    if not np.array_equal(M.indptr, T.indptr):
+        return None
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    key = rows * M.shape[1] + M.indices
+    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key, kind="stable")
+    if order is not None and not np.all(np.diff(key[order]) > 0):
+        return None  # duplicate entries
+    indices, data = (M.indices, M.data) if order is None else (M.indices[order], M.data[order])
+    return data if np.array_equal(indices, T.indices) else None
 
 
 # -- derived model builders ---------------------------------------------------------

@@ -59,14 +59,20 @@ class MetricGraph:
     def __init__(self, vertices, edges):
         vids = []
         coords = {}
-        for v in vertices:
-            if isinstance(v, (tuple, list)):
-                vid = int(v[0])
-                vids.append(vid)
-                if len(v) >= 3 and v[1] is not None and v[2] is not None:
-                    coords[vid] = (float(v[1]), float(v[2]))
-            else:
-                vids.append(int(v))
+        for k, v in enumerate(vertices):
+            entry = v if isinstance(v, (tuple, list)) else (v,)
+            try:
+                vid = int(entry[0])
+            except (TypeError, ValueError):
+                raise GraphError(f"vertex {k} of the list: id {entry[0]!r} is not an "
+                                 "integer") from None
+            vids.append(vid)
+            if len(entry) >= 3 and entry[1] is not None and entry[2] is not None:
+                try:
+                    coords[vid] = (float(entry[1]), float(entry[2]))
+                except (TypeError, ValueError):
+                    raise GraphError(f"vertex {vid}: coordinates ({entry[1]!r}, "
+                                     f"{entry[2]!r}) are not numbers") from None
         if len(set(vids)) != len(vids):
             raise GraphError("duplicate vertex ids")
         self._vid_index = {vid: i for i, vid in enumerate(sorted(vids))}
@@ -82,7 +88,11 @@ class MetricGraph:
                 raise GraphError(f"edge {k}: length {e[2]!r} is not a number") from None
             geom = None
             if len(e) > 3 and e[3] is not None:
-                geom = tuple((float(p[0]), float(p[1])) for p in e[3])
+                try:
+                    geom = tuple((float(p[0]), float(p[1])) for p in e[3])
+                except (TypeError, ValueError, IndexError):
+                    raise GraphError(f"edge {k}: geometry must be a list of [x, y] "
+                                     f"number pairs, got {e[3]!r}") from None
             if not (length > 0.0 and math.isfinite(length)):
                 raise GraphError(f"edge {k}: nonpositive length {length}")
             if u not in self._vid_index or v not in self._vid_index:

@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg.lapack import dpotrf
 
 from graphfield.assembly import operator_matrix, shift_diagonal
-from graphfield.cholesky import Analysis, NotSPDError, SparseCholesky
+from graphfield import cholesky
+from graphfield.cholesky import Analysis, NotSPDError, SparseCholesky, selected_inverses
 from graphfield.graph import tadpole_graph
 from graphfield.mesh import build_mesh
 
@@ -39,7 +42,9 @@ def test_logdet(operator):
 def test_selected_inverse_diag(operator):
     F = SparseCholesky(operator)
     dense = np.diag(np.linalg.inv(operator.toarray()))
-    assert np.abs(F.selected_inverse_diag() - dense).max() < 1e-12
+    diag = np.empty_like(dense)
+    diag[F.perm] = F.selected_inverse()[0]
+    assert np.abs(diag - dense).max() < 1e-12
 
 
 def test_selected_inverse_matches_dense_on_pattern():
@@ -133,6 +138,56 @@ def test_factor_properties_on_random_graphs(A, flip):
     assert f"row {j})" in str(err.value)
     _, info = dpotrf(B.toarray()[F.perm][:, F.perm], lower=1)
     assert info - 1 == k
+
+
+def factor_stack(mesh, kappa, kinds, shift=1.0):
+    """Matrices of one mesh and their factors, of mixed bandwidths: the
+    operator L, L + shift C, the wider S = L C^-1 L plus diag(S), and the
+    diagonal C.  S alone is conditioned up to about 1e5 on these meshes,
+    where no inverse, dense or selected, is good to 1e-12 relative; adding
+    diag(S) keeps the comparison meaningful."""
+    L, c = operator_matrix(mesh, kappa)
+    S = sparse.csr_matrix(L @ sparse.diags(1.0 / c) @ L)
+    make = {"L": lambda: L, "shift": lambda: shift_diagonal(mesh, L, shift * c),
+            "square": lambda: sparse.csr_matrix(S + sparse.diags(S.diagonal())),
+            "mass": lambda: sparse.diags(c).tocsr()}
+    mats = [make[k]() for k in kinds]
+    return mats, [SparseCholesky(A) for A in mats]
+
+
+@st.composite
+def factor_stacks(draw):
+    kinds = draw(st.lists(st.sampled_from(["L", "shift", "square", "mass"]),
+                          min_size=1, max_size=4))
+    return factor_stack(draw(random_meshes()), draw(st.floats(0.5, 5.0)), kinds,
+                        draw(st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stack=factor_stacks(), small_span=st.booleans())
+@example(stack=factor_stack(build_mesh(tadpole_graph(), 0.05), 2.0, ["L", "square", "mass"]),
+         small_span=True)  # n = 60 in blocks of 22
+def test_stacked_selected_inverses_match_dense_and_single(stack, small_span):
+    """Every band of a stacked sweep matches the dense inverse and the stack
+    of one, also when the stack is swept a block of columns at a time."""
+    mats, factors = stack
+    with mock.patch.object(cholesky, "_SPAN", 1 if small_span else cholesky._SPAN):
+        Zs = selected_inverses(factors)
+    for A, F, Z in zip(mats, factors, Zs):
+        n = F.n
+        inv = np.linalg.inv(A.toarray())
+        Zp = inv[F.perm][:, F.perm]
+        tol = 1e-12 * np.abs(inv).max()
+        assert Z.shape == (F.bw + 1, n)
+        for d in range(F.bw + 1):
+            assert np.abs(Z[d, :n - d] - np.diagonal(Zp, -d)).max() <= tol
+            assert not Z[d, n - d:].any()
+        assert np.abs(Z - F.selected_inverse()).max() <= tol
+
+
+def test_stacked_factors_must_share_their_order(operator):
+    with pytest.raises(ValueError, match="equal order"):
+        selected_inverses([SparseCholesky(operator), SparseCholesky(operator[1:, 1:])])
 
 
 def assert_same_factor(got, want):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from graphfield.cli import main, read_observations
+from graphfield.cli import _write_node_csv, main, read_observations
 from graphfield.exprs import CoefficientExpression, ExpressionError
 from graphfield.graph import interval_graph
 from graphfield.mesh import build_mesh
@@ -45,6 +45,23 @@ def test_graph_validate_disconnected(tmp_path, capsys):
                   {"id": 1, "from": 2, "to": 3, "length": 1.0}]}))
     assert run(["graph", "validate", str(p)]) == 1
     assert "disconnected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices, edge, message", [
+    ([{"id": "a"}, {"id": 1}], {}, "vertex 0 of the list: id 'a' is not an integer"),
+    ([{"id": 0, "x": "q", "y": 1.0}, {"id": 1}], {},
+     "vertex 0: coordinates ('q', 1.0) are not numbers"),
+    ([{"id": 0}, {"id": 1}], {"geometry": [["x", 0], [1, 0]]},
+     "edge 0: geometry must be a list of [x, y] number pairs, got [['x', 0], [1, 0]]"),
+])
+def test_non_numeric_vertex_or_geometry_named(tmp_path, capsys, vertices, edge, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"vertices": vertices,
+                             "edges": [{"id": 0, "from": 0, "to": 1, "length": 1.0, **edge}]}))
+    assert run(["graph", "validate", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run(["mesh", str(p), "--h", "0.1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("length", ["abc", None])
@@ -115,6 +132,23 @@ def test_cov_command_17_digits(tmp_path):
     # round-trip exactness of the 17-significant-digit format
     text_again = [f"{v:.17g}" for v in vals]
     assert [r[3] for r in rows[1:]] == text_again
+
+
+def test_node_table_bytes_match_csv_writer(tmp_path):
+    mesh = build_mesh(interval_graph(1.0), 0.125)
+    values = np.linspace(-2.0, 2.0, mesh.N)
+    values[:4] = [np.nan, np.inf, -np.inf, -1e-310]
+    columns = {"a": values, "b,c": -values[::-1]}
+    out = tmp_path / "nodes.csv"
+    _write_node_csv(out, mesh, columns)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["node", "edge", "t", *columns])
+        for i in range(mesh.N):
+            w.writerow([i, int(mesh.node_edge[i]), "%.17g" % mesh.node_t[i],
+                        *("%.17g" % v[i] for v in columns.values())])
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_varstat_command(tmp_path, capsys):

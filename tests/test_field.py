@@ -389,6 +389,49 @@ def test_sym_keeps_symmetric_input_and_checks_the_rest():
         _sym(csr_matrix(asym))
 
 
+def test_sym_of_unsorted_products_matches_the_sparse_sum():
+    """Product blocks come out of scipy's matmul with unsorted indices; the
+    sparse route sorted them (in place, as |M| does) before summing."""
+    mesh = build_mesh(tadpole_graph(), 0.05)
+    model = FieldModel.build(mesh, 1.4, 2.0, 1.0, m=4)
+    S = diags(1.0 / model.c_diag) @ model.L
+    for p in model.rational.poles:
+        Q = (model.L - p * diags(model.c_diag)) @ S
+        assert not Q.has_canonical_format
+        assert_same_csr(_sym(Q.copy()), reference_sym(Q.sorted_indices()))
+    # duplicate entries take the sparse route
+    dup = csr_matrix((np.array([1.0, 0.5, 0.5, 1.0, 2.0]), np.array([0, 1, 1, 0, 1]),
+                      np.array([0, 3, 5])), shape=(2, 2))
+    assert_same_csr(_sym(dup.copy()), reference_sym(dup.copy().tocoo().tocsr()))
+
+
+def test_marginal_variance_same_bits_with_one_or_two_blas_threads(tmp_path):
+    """The stacked selected inversion gives the same bits whatever the
+    OpenBLAS thread count (tadpole, N = 12000, alpha = 1.4, m = 16)."""
+    import os
+    import subprocess
+    import sys
+
+    import graphfield
+
+    src = os.path.dirname(os.path.dirname(graphfield.__file__))
+    code = ("import sys, numpy as np\n"
+            "from graphfield.field import FieldModel\n"
+            "from graphfield.graph import tadpole_graph\n"
+            "from graphfield.mesh import build_mesh\n"
+            "model = FieldModel.build(build_mesh(tadpole_graph(), 0.00025), 1.4, 3.0, 1.0)\n"
+            "assert model.N == 12000 and model.m == 16\n"
+            "np.save(sys.argv[1], model.marginal_variance())\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"variance{threads}.npy"
+        subprocess.run([sys.executable, "-c", code, str(path)], check=True,
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+        runs.append(np.load(path))
+    assert np.array_equal(runs[0], runs[1])
+
+
 def count_orderings(monkeypatch):
     import graphfield.cholesky as cholesky
 
