@@ -15,13 +15,15 @@ s >= bw columns.  On such blocks G is block lower-bidiagonal, so
     Z_kk      = G_kk^{-T} G_kk^{-1} - Z_{k+1,k}^T G_{k+1,k} G_kk^{-1}
 
 from the last block to the first, with G_kk^{-1} from LAPACK's triangular
-inverse (dtrtri).  That is O(n s^2) work in BLAS and O(n bw) memory, and
-gives every entry of Z within the band.  `selected_inverses` sweeps a stack
-of nf factors of one order at once (the m+1 blocks of a field model): bands
-narrower than the widest are zero-padded, the products are batched matmuls
-over the stack, and the block size is s = max(bw, round(32 / nf^(1/3))), so
-that a step's O(nf s^3) work stays near that of one 32-column block of one
-factor.  A single factor is the stack of one.
+inverse (dtrtri).  That is O(n s^2) work in BLAS and gives every entry of Z
+within the band.  `selected_inverses` sweeps a stack of nf factors of one
+order (the m+1 blocks of a field model; one factor is the stack of one) and
+returns per factor only the entries asked for: the sweep buffers a span of
+band columns of the stack and reads the requested entries out of each span
+once it is done, so no band of Z is held whole.  Narrower bands are
+zero-padded, the products are batched matmuls over the stack, and the block
+size is s = max(bw, round(32 / nf^(1/3))), so that a step's O(nf s^3) work
+stays near that of one 32-column block of one factor.
 
 Factorization is split into a symbolic and a numeric step, as in CHOLMOD's
 analyse/factorize (Chen, Davis, Hager & Rajamanickam 2008).  `Analysis`
@@ -36,6 +38,8 @@ another) pay for the ordering once.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs, dtrtri
 from scipy.sparse import coo_matrix, csr_matrix
@@ -45,8 +49,8 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 # blocks of s columns; s is chosen so that this stays about _BLOCK^3, the work
 # below which the per-step Python overhead outweighs what smaller blocks save.
 _BLOCK = 32
-# Entries of the stacked bands held at once by a sweep over several factors
-# (0.5 MiB each for the factors and for their inverses).
+# Entries of the stacked bands held at once by the sweep (0.5 MiB each for
+# the factors and for their inverses).
 _SPAN = 1 << 16
 
 
@@ -145,7 +149,7 @@ class SparseCholesky:
     A : sparse matrix, symmetric positive definite
     extra_pattern : optional (rows, cols) arrays
         Structural zeros added to A's pattern before ordering, so that the
-        pairs lie within the band and `inverse_entries` can return them.
+        pairs lie within the band and `selected_inverse` can return them.
     analysis : optional Analysis, e.g. an earlier factor's `analysis`
         Reused when A and extra_pattern have the pattern it was made for;
         otherwise the pattern is analysed afresh.  The factor is the same
@@ -192,94 +196,94 @@ class SparseCholesky:
 
     # -- selected inversion (Takahashi equations) -----------------------------
 
-    def selected_inverse(self) -> np.ndarray:
-        """The band of Z = (P A P^T)^{-1}, in the factor's band storage.
-
-        Returns a (bw + 1, n) array whose entry [d, j] is Z[j + d, j] (zero
-        where j + d >= n); Z is symmetric, so this is every entry of Z with
-        |i - j| <= bw.  `inverse_entries` maps back to A's numbering.
-        """
-        return selected_inverses([self])[0]
-
-    def inverse_entries(self, rows, cols, Z=None) -> np.ndarray:
-        """Entries (rows[t], cols[t]) of A^{-1}, all from one selected
-        inversion: Z, this factor's selected_inverse() if given (e.g. from
-        `selected_inverses`), else a fresh one.  Every pair must lie within
-        the band: A's own pattern does, and extra_pattern at construction
-        forces further pairs in."""
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        i, j = self._iperm[rows], self._iperm[cols]
-        d = np.abs(i - j)
-        outside = np.flatnonzero(d > self.bw)
-        if outside.size:
-            t = outside[0]
-            raise ValueError(f"entry ({rows.flat[t]}, {cols.flat[t]}) lies outside the "
-                             f"computed band (bandwidth {self.bw})")
-        if Z is None:
-            Z = self.selected_inverse()
-        return Z[d, np.minimum(i, j)]
+    def selected_inverse(self, rows, cols) -> np.ndarray:
+        """Entries (rows[t], cols[t]) of A^{-1}: `selected_inverses` on the
+        stack of one."""
+        return selected_inverses([self], [(rows, cols)])[0]
 
 
-def selected_inverses(factors) -> list[np.ndarray]:
-    """[F.selected_inverse() for F in factors], from one Takahashi sweep over
-    the stack of factors (all of one order n; see the module docstring).
-    Several factors are swept through a buffer of a few band columns at a
-    time, so the memory beyond the returned bands stays bounded."""
+def selected_inverses(factors, pairs) -> list[np.ndarray]:
+    """For each factor F (of a matrix A) of the stack and its (rows, cols) in
+    pairs, the entries (rows[t], cols[t]) of A^{-1}, shaped like rows, all
+    from one Takahashi sweep over the stack (see the module docstring).  The
+    factors must have one order n, and every pair must lie within its
+    factor's band: A's own pattern does, and extra_pattern at construction
+    forces further pairs in."""
     n = factors[0].n
     if any(F.n != n for F in factors):
         raise ValueError("stacked factors must have equal order")
     nf, bw = len(factors), max(F.bw for F in factors)
+    # factors of one analysis that ask for the same arrays share one plan
+    plans, plan = {}, []
+    for F, (r, c) in zip(factors, pairs):
+        ident = (id(F.analysis), id(r), id(c))
+        if ident not in plans:
+            plans[ident] = _plan(F, r, c, bw)
+        plan.append(plans[ident])
+    out = [np.empty(order.size) for order, _ in plan]
     s = max(bw, round(_BLOCK / nf ** (1 / 3)), 1)
-    out = [np.empty((F.bw + 1, n)) for F in factors]
-    if nf == 1:  # swept in place
-        span, G_buf, Z_buf = n, factors[0]._G[None], out[0][None]
-    else:  # band columns [lo, lo + span) of all factors at a time
-        span = min(n, s * max(1, _SPAN // (nf * (bw + 1) * s)))
-        G_buf = np.zeros((nf, bw + 1, span))
-        Z_buf = np.empty_like(G_buf)
-    a = np.arange(s)
-    # G[c0 + r + i, c0 + j] sits in band row r + i - j of column c0 + j,
-    # with r = 0 for the diagonal block and r = s for the one below it
-    d = a[:, None] - a
-    diag_row, diag_in = np.clip(d, 0, bw), (d >= 0) & (d <= bw)
-    sub_row, sub_in = np.clip(d + s, 0, bw), d + s <= bw
-    rows = a + np.arange(bw + 1)[:, None]  # Z[j + d, j] within a column block
-    lo = n
+    span = max(1, min(n, s * max(1, _SPAN // (nf * (bw + 1) * s))))
+    G_buf = np.zeros((nf, bw + 1, span))
+    Z_buf = np.empty((nf, span, bw + 1))  # [f, j, d]: factor f's Z[lo + j + d, lo + j]
+    a, diag_row, diag_in, sub_row, sub_in, rows = _tables(s, bw)
     Z_next = None  # Z_{k+1,k+1}
-    for c0 in range((n - 1) // s * s, -1, -s):
-        if c0 < lo:  # move the stack to the span holding this block
-            if nf > 1 and lo < n:
-                _unstack(Z, out, lo)
-            lo = c0 // span * span
-            width = min(span, n - lo)
-            G, Z = G_buf[:, :, :width], Z_buf[:, :, :width]
-            if nf > 1:
-                for g, F in zip(G, factors):
-                    g[:F.bw + 1] = F._G[:, lo:lo + width]
-        w = min(s, n - c0)       # width of this block
-        h = min(s, n - c0 - w)   # height of the block below it
-        cols = c0 - lo + a[:w]
-        inv = np.where(diag_in[:w, :w], G[:, diag_row[:w, :w], cols], 0.0)  # G_kk
-        for g in inv:
-            g[:], _ = dtrtri(g, lower=1)  # now G_kk^{-1}
-        Z_kk = inv.transpose(0, 2, 1) @ inv
-        column = np.zeros((nf, w + s, w))  # [Z_kk; Z_{k+1,k}; zero padding]
-        if h:
-            G_sub = np.where(sub_in[:h, :w], G[:, sub_row[:h, :w], cols], 0.0)
-            W = G_sub @ inv  # G_{k+1,k} G_kk^{-1}
-            Z_sub = -(Z_next @ W)
-            Z_kk -= Z_sub.transpose(0, 2, 1) @ W
-            column[:, w:w + h] = Z_sub
-        Z_kk = 0.5 * (Z_kk + Z_kk.transpose(0, 2, 1))
-        column[:, :w] = Z_kk
-        Z[:, :, cols] = column[:, rows[:, :w], a[:w]]
-        Z_next = Z_kk
-    if nf > 1 and n:
-        _unstack(Z, out, lo)
-    return out
+    for lo in range((n - 1) // span * span, -1, -span):  # band columns [lo, lo + width)
+        width = min(span, n - lo)
+        G, Z = G_buf[:, :, :width], Z_buf[:, :width]
+        for g, F in zip(G, factors):
+            g[:F.bw + 1] = F._G[:, lo:lo + width]
+        for c0 in range(lo + (width - 1) // s * s, lo - 1, -s):
+            w = min(s, n - c0)       # width of this block
+            h = min(s, n - c0 - w)   # height of the block below it
+            cols = c0 - lo + a[:w]
+            inv = np.where(diag_in[:w, :w], G[:, diag_row[:w, :w], cols], 0.0)  # G_kk
+            for g in inv:
+                g[:], _ = dtrtri(g, lower=1)  # now G_kk^{-1}
+            Z_kk = inv.transpose(0, 2, 1) @ inv
+            column = np.zeros((nf, w + s, w))  # [Z_kk; Z_{k+1,k}; zero padding]
+            if h:
+                G_sub = np.where(sub_in[:h, :w], G[:, sub_row[:h, :w], cols], 0.0)
+                W = G_sub @ inv  # G_{k+1,k} G_kk^{-1}
+                Z_sub = -(Z_next @ W)
+                Z_kk -= Z_sub.transpose(0, 2, 1) @ W
+                column[:, w:w + h] = Z_sub
+            Z_kk = 0.5 * (Z_kk + Z_kk.transpose(0, 2, 1))
+            column[:, :w] = Z_kk
+            Z[:, cols] = column[:, rows[:w], a[:w, None]]
+            Z_next = Z_kk
+        first = lo * (bw + 1)  # the key of Z[lo, lo]; z.ravel()[t] has key first + t
+        for z, (order, key), o in zip(Z, plan, out):  # the entries in these columns
+            start, stop = key.searchsorted((first, first + width * (bw + 1)))
+            o[order[start:stop]] = z.ravel()[key[start:stop] - first]
+    return [o.reshape(np.shape(r)) for o, (r, _) in zip(out, pairs)]
 
 
-def _unstack(Z, out, lo):
-    """Copy each factor's rows of the swept stack Z, band columns lo on, to out."""
-    for z, o in zip(Z, out):
-        o[:, lo:lo + Z.shape[2]] = z[:o.shape[0]]
+@functools.lru_cache(maxsize=16)
+def _tables(s, bw):
+    """Index tables of a block step, for blocks of s columns and bandwidth bw;
+    the last maps [j, d] to row j + d of a column block."""
+    a = np.arange(s)
+    # G[c0 + r + i, c0 + j] sits in band row r + i - j of column c0 + j, with
+    # r = 0 for the diagonal block and r = s for the one below it (masked
+    # where outside the band, so any row index will do there)
+    d = a[:, None] - a
+    return (a, d % (bw + 1), (d >= 0) & (d <= bw), (d + s) % (bw + 1), d + s <= bw,
+            a[:, None] + np.arange(bw + 1))
+
+
+def _plan(F, rows, cols, bw):
+    """(order, key): the keys j * (bw + 1) + d of the pairs (rows, cols), the
+    entries Z[j + d, j] of F's permuted inverse, sorted; pair order[t] has key[t]."""
+    rows, cols = np.ravel(rows), np.ravel(cols)
+    i, j = F._iperm[rows], F._iperm[cols]
+    key = np.abs(i - j, out=i - j)  # in place where it can be: pairs may be many
+    if key.max(initial=0) > F.bw:
+        t = np.flatnonzero(key > F.bw)[0]
+        raise ValueError(f"entry ({rows[t]}, {cols[t]}) lies outside the "
+                         f"computed band (bandwidth {F.bw})")
+    np.minimum(i, j, out=i)
+    i *= bw + 1
+    key += i
+    del i, j
+    order = np.argsort(key)
+    return order, key[order]

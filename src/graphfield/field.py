@@ -198,20 +198,27 @@ class FieldModel:
         with <W, Q> summed entrywise over block i's pattern and the weights W_i
         held fixed, with respect to log kappa and log tau at the nodes.
         weights[i] is aligned with the data of precision_blocks()[i].  The log
-        det term takes tr(Q_i^{-1} dQ_i) from the band selected inverses of all
-        block factors, swept together.  Returns (d / d log kappa, d / d log tau)."""
+        det term takes tr(Q_i^{-1} dQ_i) from the entries of every Q_i^{-1} on
+        Q_i's pattern, from one selected inversion of all block factors.
+        Returns (d / d log kappa, d / d log tau)."""
         tau = self.tau_nodes
         tau_free = []
         # d log det(T Q_i T) / d log tau = 2 per node and block
         d_tau = np.full(self.N, -2.0 * self.n_blocks * logdet_scale)
-        factors = self.block_factors()
-        for Q, F, Z, w in zip(self._tau_free_blocks(), factors,
-                              selected_inverses(factors), weights):
-            rows = np.repeat(np.arange(self.N), np.diff(Q.indptr))
-            v = w * (tau[rows] * tau[Q.indices])
+        blocks, factors = self._tau_free_blocks(), self.block_factors()
+        # blocks of one analysis have its pattern, so they share one request
+        pattern = {}
+        for Q, F in zip(blocks, factors):
+            if F.analysis not in pattern:
+                pattern[F.analysis] = (np.repeat(np.arange(self.N), np.diff(Q.indptr)),
+                                       Q.indices)
+        pairs = [pattern[F.analysis] for F in factors]
+        for Q, (rows, cols), z, w in zip(blocks, pairs, selected_inverses(factors, pairs),
+                                         weights):
+            v = w * (tau[rows] * tau[cols])
             # d(T Q T) / d log tau_a scales entry (a, b) by [a] + [b]
             d_tau += 2 * np.bincount(rows, v * Q.data, minlength=self.N)
-            tau_free.append(v - logdet_scale * F.inverse_entries(rows, Q.indices, Z))
+            tau_free.append(v - logdet_scale * z)
         return self._kappa_gradient(tau_free), d_tau
 
     def _kappa_gradient(self, weights) -> np.ndarray:
@@ -225,6 +232,8 @@ class FieldModel:
         The rational coefficients depend on b = 1 / min(kappa)^2 (residues as
         b^(a-1), poles as 1/b, k as b^a), which adds -2 sum_i <V_i, dQ_i/dlog b>
         at the node where kappa is smallest (the first such node on ties).
+        Its inner products are np.sum reductions, not BLAS dots, whose
+        summation order (so their last bits) follows the BLAS thread count.
         """
         c = self.c_diag
         n = int(math.floor(self.alpha))
@@ -239,7 +248,7 @@ class FieldModel:
             else:
                 a = self.rational.alpha_frac
                 if i == self.m:  # the tail block, proportional to 1 / k
-                    dlog_b -= a * float(v @ Q.data)
+                    dlog_b -= a * float(np.sum(v * Q.data))
                     if n == 0:
                         continue
                     scale, A, q = 1.0 / self.rational.k, self.L, n - 1
@@ -249,11 +258,11 @@ class FieldModel:
                     # dQ/dlog b = (p / r) C (C^{-1}L)^n - (a - 1) Q, where
                     # C (C^{-1}L)^n = L (C^{-1}L)^(n-1) for n >= 1
                     if n == 0:
-                        CMn = V.diagonal() @ c
+                        CMn = float(np.sum(V.diagonal() * c))
                     else:
                         P = power[n - 1]
                         CMn = float(V.multiply(self.L if P is None else self.L @ P).sum())
-                    dlog_b += p / r * CMn - (a - 1) * float(v @ Q.data)
+                    dlog_b += p / r * CMn - (a - 1) * float(np.sum(v * Q.data))
             # the L-factors of A (C^{-1}L)^q, first A itself, then each C^{-1}L
             for t in range(q + 1):
                 AV = V if t == 0 else A.T @ V
@@ -350,14 +359,14 @@ class FieldModel:
 
     def marginal_variance(self) -> np.ndarray:
         """diag(Sigma_u) = sum_i diag(Q_i^{-1}) / tau^2, the tau-free sum from
-        one selected inversion sweep over all block factors, once per shared
-        core."""
+        one selected inversion of all block factors, once per shared core."""
         core = self._core
         if core.variance is None:
             factors = self.block_factors()
+            nodes = np.arange(self.N)
             out = np.zeros(self.N)
-            for F, Z in zip(factors, selected_inverses(factors)):
-                out[F.perm] += Z[0]
+            for diagonal in selected_inverses(factors, [(nodes, nodes)] * len(factors)):
+                out += diagonal
             core.variance = out
         return core.variance / self.tau_nodes**2
 
@@ -395,6 +404,7 @@ def _sym(M) -> csr_matrix:
         return M
     data = _sorted_data(M, T)
     if data is None:
+        M = M.copy()  # abs(M) sums and sorts M's entries in place
         asym = abs(M - M.T)
         scale = max(abs(M).max(), 1.0)
         if asym.nnz and asym.max() > 1e-8 * scale:

@@ -180,7 +180,7 @@ def kriging(model: FieldModel, obs: ObservationSet,
         cols = (i + N * s[:, None]).ravel()
         F = SparseCholesky(Qpost, extra_pattern=(rows, cols), analysis=st.variance_analysis)
         st.variance_analysis = F.analysis
-        variance = F.inverse_entries(rows, cols).reshape(K * K, N).sum(axis=0)
+        variance = F.selected_inverse(rows, cols).reshape(K * K, N).sum(axis=0)
     else:
         F = SparseCholesky(Qpost, analysis=st.analysis)
         st.analysis = F.analysis
@@ -235,8 +235,9 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
 
     the last two terms by the envelope theorem on the quadratic form's
     minimization over the field (and over beta when it is profiled).  Z is
-    read on Qpost's pattern from one selected inversion, and tr(Q_i^{-1} dQ_i)
-    from one band selected inversion per block factor.
+    read on Qpost's pattern from one selected inversion of the stacked
+    factor, and tr(Q_i^{-1} dQ_i) from one selected inversion of all block
+    factors, read on the Q_i's patterns.
     """
     memo, st, Qpost = _stacked_system(model, obs)
     A, At, K = memo.A, memo.At, st.K
@@ -280,7 +281,7 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
         return ll, beta
 
     N = model.N
-    Z = Fq.inverse_entries(np.repeat(np.arange(K * N), np.diff(st.indptr)), st.indices)
+    Z = Fq.selected_inverse(np.repeat(np.arange(K * N), np.diff(st.indptr)), st.indices)
     # weights of dQ_i in d(-2 loglik): R Z_ii + sum_r mu_ri mu_ri' on block i's pattern
     weights, zq, start = [], Z[st.q_slots], 0
     for i, (indptr, indices) in enumerate(st.patterns):
@@ -291,7 +292,8 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
         start += indices.size
     d_kappa, d_tau = model.precision_gradient(weights, R)
     # dQpost/dlog sigma_e = -2 Abar'Abar / s2, and |e_r|^2 / s2 = s2 |Sigma_y^{-1} r_r|^2
-    zb = float(Z[st.b_slots] @ np.tile(memo.AtA.data, K * K))
+    # np.sum, not a BLAS dot, whose last bits follow the BLAS thread count
+    zb = float(np.sum(Z[st.b_slots] * np.tile(memo.AtA.data, K * K)))
     d_sigma = R * (zb / s2 - n) + s2 * float(np.sum(Siresid**2))
     return ll, beta, LikelihoodGradient(log_kappa=-0.5 * d_kappa, log_tau=-0.5 * d_tau,
                                         log_sigma_e=d_sigma)

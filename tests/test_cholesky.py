@@ -39,11 +39,19 @@ def test_logdet(operator):
     assert F.logdet() == pytest.approx(ld, rel=1e-12)
 
 
+def band_pairs(F):
+    """(rows, cols): every pair (perm[j + d], perm[j]) within F's band,
+    d = 0..bw, in the factored matrix's numbering."""
+    d = np.concatenate([np.full(F.n - k, k) for k in range(F.bw + 1)])
+    j = np.concatenate([np.arange(F.n - k) for k in range(F.bw + 1)])
+    return F.perm[j + d], F.perm[j]
+
+
 def test_selected_inverse_diag(operator):
     F = SparseCholesky(operator)
     dense = np.diag(np.linalg.inv(operator.toarray()))
     diag = np.empty_like(dense)
-    diag[F.perm] = F.selected_inverse()[0]
+    diag[F.perm] = F.selected_inverse(F.perm, F.perm)
     assert np.abs(diag - dense).max() < 1e-12
 
 
@@ -52,29 +60,36 @@ def test_selected_inverse_matches_dense_on_pattern():
     A = sparse.random(50, 50, density=0.08, random_state=rng)
     A = sparse.csr_matrix(A + A.T + 30 * sparse.eye(50))
     F = SparseCholesky(A)
-    Z = F.selected_inverse()
-    inv = np.linalg.inv(A.toarray())[F.perm][:, F.perm]
-    assert Z.shape == (F.bw + 1, 50)
-    for d in range(F.bw + 1):
-        assert np.abs(Z[d, :50 - d] - np.diagonal(inv, -d)).max() < 1e-12
+    rows, cols = band_pairs(F)
+    got = F.selected_inverse(rows, cols)
+    inv = np.linalg.inv(A.toarray())
+    assert got.shape == rows.shape
+    assert np.abs(got - inv[rows, cols]).max() < 1e-12
 
 
-def test_inverse_entries_with_forced_pattern(operator):
+def test_selected_inverse_with_forced_pattern(operator):
     n = operator.shape[0]
     rows = np.array([0, 1, 2])
     cols = np.array([n - 1, n - 2, n - 3])
     F = SparseCholesky(operator, extra_pattern=(rows, cols))
     inv = np.linalg.inv(operator.toarray())
-    got = F.inverse_entries(rows, cols)
+    got = F.selected_inverse(rows, cols)
     assert np.allclose(got, inv[rows, cols], atol=1e-13)
 
 
-def test_inverse_entries_outside_band_raise(operator):
+def test_selected_inverse_outside_band_raises(operator):
+    """The error names the first pair outside the band and the bandwidth of
+    the factor it was asked of, also when that is the second of a stack."""
     F = SparseCholesky(operator)
     assert F.bw < operator.shape[0] - 1
     first, last = F.perm[0], F.perm[-1]
-    with pytest.raises(ValueError, match="outside the computed band"):
-        F.inverse_entries([first, first], [first, last])
+    message = rf"entry \({first}, {last}\) lies outside the computed band \(bandwidth {F.bw}\)"
+    with pytest.raises(ValueError, match=message):
+        F.selected_inverse([first, first], [first, last])
+    nodes = np.arange(F.n)
+    with pytest.raises(ValueError, match=message):
+        selected_inverses([SparseCholesky(operator), F],
+                          [(nodes, nodes), ([first, first, last], [first, last, first])])
 
 
 def test_not_spd_raises():
@@ -120,10 +135,9 @@ def test_factor_properties_on_random_graphs(A, flip):
     assert np.abs(dense @ F.solve(b) - b).max() < 1e-10
     assert F.logdet() == pytest.approx(np.linalg.slogdet(dense)[1], rel=1e-12, abs=1e-12 * n)
     inv = np.linalg.inv(dense)
-    Zp = inv[F.perm][:, F.perm]
-    Z = F.selected_inverse()
-    for d in range(F.bw + 1):
-        assert np.abs(Z[d, :n - d] - np.diagonal(Zp, -d)).max() < 1e-12 * np.abs(inv).max()
+    rows, cols = band_pairs(F)
+    assert np.abs(F.selected_inverse(rows, cols) - inv[rows, cols]).max() \
+        < 1e-12 * np.abs(inv).max()
 
     # a negated diagonal entry makes the first nonpositive pivot exactly its
     # position in the ordering; the dense Cholesky of P A P^T agrees
@@ -168,26 +182,44 @@ def factor_stacks(draw):
 @example(stack=factor_stack(build_mesh(tadpole_graph(), 0.05), 2.0, ["L", "square", "mass"]),
          small_span=True)  # n = 60 in blocks of 22
 def test_stacked_selected_inverses_match_dense_and_single(stack, small_span):
-    """Every band of a stacked sweep matches the dense inverse and the stack
-    of one, also when the stack is swept a block of columns at a time."""
+    """Every in-band entry of a stacked sweep matches the dense inverse and
+    the stack of one, also when the stack is swept a block of columns at a
+    time."""
     mats, factors = stack
+    pairs = [band_pairs(F) for F in factors]
     with mock.patch.object(cholesky, "_SPAN", 1 if small_span else cholesky._SPAN):
-        Zs = selected_inverses(factors)
-    for A, F, Z in zip(mats, factors, Zs):
-        n = F.n
+        got = selected_inverses(factors, pairs)
+    for A, F, (rows, cols), z in zip(mats, factors, pairs, got):
         inv = np.linalg.inv(A.toarray())
-        Zp = inv[F.perm][:, F.perm]
         tol = 1e-12 * np.abs(inv).max()
-        assert Z.shape == (F.bw + 1, n)
-        for d in range(F.bw + 1):
-            assert np.abs(Z[d, :n - d] - np.diagonal(Zp, -d)).max() <= tol
-            assert not Z[d, n - d:].any()
-        assert np.abs(Z - F.selected_inverse()).max() <= tol
+        assert z.shape == rows.shape
+        assert np.abs(z - inv[rows, cols]).max() <= tol
+        assert np.abs(z - F.selected_inverse(rows, cols)).max() <= tol
+
+
+def test_factors_of_one_analysis_share_a_request(operator):
+    """Factors of one analysis asked for the same arrays (as a model's block
+    factors are for their diagonals) get what they get with arrays of their
+    own."""
+    F = SparseCholesky(operator)
+    twice = SparseCholesky(sparse.csr_matrix((2.0 * operator.data, operator.indices,
+                                              operator.indptr), shape=operator.shape),
+                           analysis=F.analysis)
+    assert twice.analysis is F.analysis
+    stack = [F, twice, F]
+    rows, cols = band_pairs(F)
+    shared = selected_inverses(stack, [(rows, cols)] * 3)
+    own = selected_inverses(stack, [band_pairs(G) for G in stack])
+    for z, o in zip(shared, own):
+        assert np.array_equal(z, o)
+    inv = np.linalg.inv(operator.toarray())
+    assert np.abs(2 * shared[1] - inv[rows, cols]).max() < 1e-12 * np.abs(inv).max()
 
 
 def test_stacked_factors_must_share_their_order(operator):
     with pytest.raises(ValueError, match="equal order"):
-        selected_inverses([SparseCholesky(operator), SparseCholesky(operator[1:, 1:])])
+        selected_inverses([SparseCholesky(operator), SparseCholesky(operator[1:, 1:])],
+                          [([0], [0])] * 2)
 
 
 def assert_same_factor(got, want):
@@ -198,7 +230,8 @@ def assert_same_factor(got, want):
     b = np.linspace(-1.0, 1.0, want.n)
     assert np.array_equal(got.solve(b), want.solve(b))
     assert got.logdet() == want.logdet()
-    assert np.array_equal(got.selected_inverse(), want.selected_inverse())
+    rows, cols = band_pairs(want)
+    assert np.array_equal(got.selected_inverse(rows, cols), want.selected_inverse(rows, cols))
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,8 +254,8 @@ def test_reused_analysis_gives_the_fresh_factor(mesh, kappa, shift):
                             analysis=forced.analysis)
     assert reused.analysis is forced.analysis
     assert_same_factor(reused, SparseCholesky(A, extra_pattern=extra))
-    assert np.array_equal(reused.inverse_entries(*extra),
-                          SparseCholesky(A, extra_pattern=extra).inverse_entries(*extra))
+    assert np.array_equal(reused.selected_inverse(*extra),
+                          SparseCholesky(A, extra_pattern=extra).selected_inverse(*extra))
 
 
 @settings(max_examples=25, deadline=None)

@@ -405,9 +405,24 @@ def test_sym_of_unsorted_products_matches_the_sparse_sum():
     assert_same_csr(_sym(dup.copy()), reference_sym(dup.copy().tocoo().tocsr()))
 
 
-def test_marginal_variance_same_bits_with_one_or_two_blas_threads(tmp_path):
-    """The stacked selected inversion gives the same bits whatever the
-    OpenBLAS thread count (tadpole, N = 12000, alpha = 1.4, m = 16)."""
+def test_sym_leaves_its_argument_unchanged():
+    """Duplicate entries take the sparse route, whose |M| sums and sorts its
+    operand in place; the caller's matrix keeps its arrays."""
+    dup = csr_matrix((np.array([0.5, 1.0, 0.5, 2.0, 1.0]), np.array([1, 0, 1, 1, 0]),
+                      np.array([0, 3, 5])), shape=(2, 2))
+    before = [a.copy() for a in (dup.indptr, dup.indices, dup.data)]
+    got = _sym(dup)
+    for a, b in zip((dup.indptr, dup.indices, dup.data), before):
+        assert np.array_equal(a, b)
+    assert_same_csr(got, reference_sym(dup.copy().tocoo().tocsr()))
+
+
+def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
+    """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16) and the
+    log-likelihood with its gradient (tadpole, N = 3000, alpha = 1.4, m = 8,
+    300 observations) give the same bits whatever the OpenBLAS thread count.
+    The gradient's b-term sums over nnz(Q_i) > 10000 entries, where a BLAS
+    dot splits the sum between threads."""
     import os
     import subprocess
     import sys
@@ -417,19 +432,50 @@ def test_marginal_variance_same_bits_with_one_or_two_blas_threads(tmp_path):
     src = os.path.dirname(os.path.dirname(graphfield.__file__))
     code = ("import sys, numpy as np\n"
             "from graphfield.field import FieldModel\n"
-            "from graphfield.graph import tadpole_graph\n"
+            "from graphfield.graph import GraphPoint, tadpole_graph\n"
+            "from graphfield.inference import ObservationSet, log_likelihood\n"
             "from graphfield.mesh import build_mesh\n"
-            "model = FieldModel.build(build_mesh(tadpole_graph(), 0.00025), 1.4, 3.0, 1.0)\n"
+            "graph = tadpole_graph()\n"
+            "model = FieldModel.build(build_mesh(graph, 0.00025), 1.4, 3.0, 1.0)\n"
             "assert model.N == 12000 and model.m == 16\n"
-            "np.save(sys.argv[1], model.marginal_variance())\n")
+            "small = FieldModel.build(build_mesh(graph, 0.001), 1.4, 3.0, 1.0, m=8)\n"
+            "assert small.N == 3000\n"
+            "rng = np.random.default_rng(3)\n"
+            "edges = rng.integers(graph.n_edges, size=300)\n"
+            "points = [GraphPoint(int(e), rng.uniform(0.02, 0.98) * graph.edges[e].length)\n"
+            "          for e in edges]\n"
+            "obs = ObservationSet(points, rng.standard_normal(300), 0.3)\n"
+            "ll, _, grad = log_likelihood(small, obs, gradient=True)\n"
+            "np.savez(sys.argv[1], variance=model.marginal_variance(), loglik=ll,\n"
+            "         log_kappa=grad.log_kappa, log_tau=grad.log_tau,\n"
+            "         log_sigma_e=grad.log_sigma_e)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = []
     for threads in ("1", "2"):
-        path = tmp_path / f"variance{threads}.npy"
+        path = tmp_path / f"outputs{threads}.npz"
         subprocess.run([sys.executable, "-c", code, str(path)], check=True,
                        env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
         runs.append(np.load(path))
-    assert np.array_equal(runs[0], runs[1])
+    for name in runs[0].files:
+        assert np.array_equal(runs[0][name], runs[1][name]), name
+
+
+def test_marginal_variance_peak_memory_stays_below_the_bands():
+    """The sweep buffers a span of band columns and keeps only the diagonals,
+    never whole bands of the inverses: marginal_variance's peak allocation
+    (tadpole, N = 12000, alpha = 1.4, 17 blocks) stays below 0.6 x the bytes
+    of the block factors' bands."""
+    import tracemalloc
+
+    model = FieldModel.build(build_mesh(tadpole_graph(), 0.00025), 1.4, 3.0, 1.0)
+    bands = sum(8 * (F.bw + 1) * F.n for F in model.block_factors())
+    tracemalloc.start()
+    try:
+        model.marginal_variance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * bands, (peak / 2**20, bands / 2**20)
 
 
 def count_orderings(monkeypatch):
