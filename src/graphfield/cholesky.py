@@ -27,13 +27,14 @@ stays near that of one 32-column block of one factor.
 
 Factorization is split into a symbolic and a numeric step, as in CHOLMOD's
 analyse/factorize (Chen, Davis, Hager & Rajamanickam 2008).  `Analysis`
-depends on the sparsity pattern only: it computes the RCM order, bw and the
-band slot of every stored entry.  The numeric step in `SparseCholesky`
-scatters the values into the band and runs dpbtrf.  A factor built with the
-analysis of an earlier one reuses it when the pattern (indptr, indices and
-extra_pattern) is equal, and analyses afresh otherwise, so matrices that
-share a pattern (the blocks of one model, one likelihood evaluation after
-another) pay for the ordering once.
+depends on the sparsity pattern only: it takes the RCM order (or an order
+the caller gives, such as the node-major order of a stacked system) and
+computes bw and the band slot of every stored entry.  The numeric step in
+`SparseCholesky` scatters the values into the band and runs dpbtrf.  A
+factor built with the analysis of an earlier one reuses it, order included,
+when the pattern (indptr and indices) is equal, and analyses afresh
+otherwise, so matrices that share a pattern (the blocks of one model, one
+likelihood evaluation after another) pay for the ordering once.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import functools
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs, dtrtri
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 # A step of the selected-inverse sweep over nf factors does O(nf s^3) work on
@@ -65,45 +66,29 @@ class NotSPDError(np.linalg.LinAlgError):
 
 
 class Analysis:
-    """Symbolic analysis of the pattern of a square CSR matrix A (plus
-    extra_pattern pairs): the RCM permutation, the bandwidth bw of the
-    permuted pattern, and the LAPACK lower band slot of every stored entry in
-    the lower triangle.  Holds no values."""
+    """Symbolic analysis of the pattern of a square CSR matrix A: the order
+    perm (row perm[k] of A is row k of P A P^T; the RCM order unless a
+    permutation of range(n) is given), the bandwidth bw of the permuted
+    pattern, and the LAPACK lower band slot of every stored entry in the
+    lower triangle.  Holds no values."""
 
-    def __init__(self, A, extra_pattern=None):
+    def __init__(self, A, perm=None):
         n = A.shape[0]
         self.n = n
         # copies: an in-place change to A's structure (sort_indices) must not
         # change the pattern this analysis claims to describe
         self.indptr, self.indices = A.indptr.copy(), A.indices.copy()
-        self.extra = None
-        augmented = A
-        if extra_pattern is not None:
-            r = np.asarray(extra_pattern[0], dtype=np.int64)
-            c = np.asarray(extra_pattern[1], dtype=np.int64)
-            self.extra = (r, c)
-            co = A.tocoo()
-            augmented = coo_matrix(
-                (
-                    np.concatenate([co.data, np.zeros(2 * len(r))]),
-                    (
-                        np.concatenate([co.row, r, c]),
-                        np.concatenate([co.col, c, r]),
-                    ),
-                ),
-                shape=A.shape,
-            ).tocsr()  # sums duplicates, keeps structural zeros
-        perm = np.asarray(reverse_cuthill_mckee(augmented, symmetric_mode=True)) \
-            if n else np.arange(0)
-        self.perm = perm
+        if perm is None:
+            perm = reverse_cuthill_mckee(A, symmetric_mode=True) if n else np.arange(0)
+        elif not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError(f"perm is not a permutation of range({n})")
+        self.perm = np.asarray(perm, dtype=np.int64)
         self.iperm = np.empty(n, dtype=np.int64)
-        self.iperm[perm] = np.arange(n)
+        self.iperm[self.perm] = np.arange(n)
 
         rows = np.repeat(np.arange(n), np.diff(A.indptr))
         i, j = self.iperm[rows], self.iperm[A.indices]
         self.bw = int(np.abs(i - j).max()) if i.size else 0
-        if self.extra is not None and len(r):
-            self.bw = max(self.bw, int(np.abs(self.iperm[r] - self.iperm[c]).max()))
         self.low = np.flatnonzero(i >= j)  # stored entries in the lower band
         # [d, col] of the (bw + 1, n) Fortran-ordered band is element
         # col * (bw + 1) + d of its memory
@@ -111,14 +96,9 @@ class Analysis:
         self._summed = not A.has_canonical_format and \
             np.unique(self.slots).size < self.slots.size
 
-    def fits(self, A, extra_pattern=None) -> bool:
-        """Whether A (CSR) with extra_pattern has the analysed pattern."""
-        if A.shape[0] != self.n or (extra_pattern is None) != (self.extra is None):
-            return False
-        if not same_pattern(A, self.indptr, self.indices):
-            return False
-        return extra_pattern is None or all(
-            _same(np.asarray(e), s) for e, s in zip(extra_pattern, self.extra))
+    def fits(self, A) -> bool:
+        """Whether A (CSR) has the analysed pattern."""
+        return A.shape[0] == self.n and same_pattern(A, self.indptr, self.indices)
 
     def band(self, data) -> np.ndarray:
         """The lower band storage of the permuted matrix with stored values
@@ -147,21 +127,18 @@ class SparseCholesky:
     Parameters
     ----------
     A : sparse matrix, symmetric positive definite
-    extra_pattern : optional (rows, cols) arrays
-        Structural zeros added to A's pattern before ordering, so that the
-        pairs lie within the band and `selected_inverse` can return them.
     analysis : optional Analysis, e.g. an earlier factor's `analysis`
-        Reused when A and extra_pattern have the pattern it was made for;
-        otherwise the pattern is analysed afresh.  The factor is the same
-        either way.
+        Reused, with its order, when A has the pattern it was made for;
+        otherwise the pattern is analysed afresh in RCM order.  The factor
+        is the same as a fresh one of the same order either way.
     """
 
-    def __init__(self, A, extra_pattern=None, analysis=None):
+    def __init__(self, A, analysis=None):
         A = A if isinstance(A, csr_matrix) else csr_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        if analysis is None or not analysis.fits(A, extra_pattern):
-            analysis = Analysis(A, extra_pattern)
+        if analysis is None or not analysis.fits(A):
+            analysis = Analysis(A)
         self.analysis = analysis
         self.n, self.bw, self.perm = analysis.n, analysis.bw, analysis.perm
         self._iperm = analysis.iperm
@@ -207,8 +184,8 @@ def selected_inverses(factors, pairs) -> list[np.ndarray]:
     pairs, the entries (rows[t], cols[t]) of A^{-1}, shaped like rows, all
     from one Takahashi sweep over the stack (see the module docstring).  The
     factors must have one order n, and every pair must lie within its
-    factor's band: A's own pattern does, and extra_pattern at construction
-    forces further pairs in."""
+    factor's band: A's own pattern does, and so does any pair that the
+    factor's order puts at most bw apart."""
     n = factors[0].n
     if any(F.n != n for F in factors):
         raise ValueError("stacked factors must have equal order")

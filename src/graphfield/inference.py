@@ -13,8 +13,10 @@ the selected inverse of that factorization.  `fit` maximizes it by L-BFGS-B.
 The pattern of that posterior precision depends on the mesh, the
 observation locations and the blocks' patterns only.  An observation set
 keeps, per mesh, A, A', A'A, the stacked pattern with the slot of every
-block and A'A entry in it, and the symbolic analyses of its factors, so a
-likelihood evaluation only fills values into fixed structure.
+block and A'A entry in it, and the one symbolic analysis that kriging (mean
+and variance) and the likelihood share, so a likelihood evaluation only
+fills values into fixed structure.  It orders X node-major, so that the
+cross-block pairs of a node that the variance reads lie in the band.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .cholesky import SparseCholesky, same_pattern
+from .cholesky import Analysis, SparseCholesky, same_pattern
 from .field import FieldModel, log_linear, variance_stationary_model
 from .fractional import RationalError
 from .mesh import Mesh
@@ -61,8 +63,13 @@ class _StackedPattern:
     """Pattern of Qpost = blockdiag(Q_1..Q_K) + J (x) A'A with J the K x K
     ones, in CSR form with sorted indices, and the slots of the blocks'
     entries and of the K^2 copies of A'A's entries in its data; plus the
-    symbolic analyses of its factors (with and without the forced cross-block
-    pairs of the variance)."""
+    symbolic analysis that all its factors share.
+
+    The order is node-major: position K p + r holds copy r of node order[p],
+    for the RCM order of the node pattern (the stacked pattern with indices
+    taken mod N, of bandwidth b).  Copies of nodes p and q lie at most
+    K (|p - q| + 1) - 1 apart, so the band is at most K (b + 1) - 1 wide and
+    holds every pair (r, i), (s, i) that the kriging variance reads."""
 
     def __init__(self, blocks, AtA):
         self.patterns = [(Q.indptr.copy(), Q.indices.copy()) for Q in blocks]
@@ -77,14 +84,16 @@ class _StackedPattern:
         b_cols = (a.col + N * c[:, None]).ravel()
         rows, cols = np.concatenate((q_rows, b_rows)), np.concatenate((q_cols, b_cols))
         pattern = coo_matrix((np.ones(rows.size), (rows, cols)), shape=self.shape).tocsr()
-        self.indptr, self.indices = pattern.indptr, pattern.indices
+        nodes = coo_matrix((np.ones(rows.size), (rows % N, cols % N)), shape=(N, N)).tocsr()
+        order = Analysis(nodes).perm  # the RCM order of the node pattern
+        self.analysis = Analysis(pattern, perm=(order[:, None] + N * np.arange(K)).ravel())
+        # the analysis's copy of the pattern, so that Qpost has its very arrays
+        self.indptr, self.indices = self.analysis.indptr, self.analysis.indices
         # row * KN + col over the canonical CSR pattern is increasing
         keys = np.repeat(np.arange(K * N, dtype=np.int64), np.diff(self.indptr)) * (K * N) \
             + self.indices
         self.q_slots = np.searchsorted(keys, q_rows.astype(np.int64) * (K * N) + q_cols)
         self.b_slots = np.searchsorted(keys, b_rows.astype(np.int64) * (K * N) + b_cols)
-        self.analysis = None
-        self.variance_analysis = None
 
     def serves(self, blocks) -> bool:
         return len(blocks) == self.K and all(
@@ -137,7 +146,7 @@ class ObservationSet:
 
     def with_sigma_e(self, sigma_e: float) -> "ObservationSet":
         """The same observations under another noise level, sharing the
-        per-mesh structure (observation matrix, stacked pattern, analyses)
+        per-mesh structure (observation matrix, stacked pattern, its analysis)
         with this set, including what either builds later."""
         out = ObservationSet(self.points, self.values, sigma_e)
         out._memo = self._memo
@@ -168,26 +177,19 @@ def kriging(model: FieldModel, obs: ObservationSet,
     given the observations."""
     memo, st, Qpost = _stacked_system(model, obs)
     N, K = model.N, st.K
-    rhs_block = (memo.At @ obs.matrix) / obs.sigma_e**2
-    rhs = np.tile(rhs_block, (K, 1))
-    variance = None
-    if compute_variance:
-        # Var(u_i) = sum_{r,s} Z_{(r i),(s i)}: force the cross-block (i, i)
-        # pairs into the band and read all K^2 of them from one selected inverse
-        i = np.arange(N)
-        r, s = np.divmod(np.arange(K * K), K)
-        rows = (i + N * r[:, None]).ravel()
-        cols = (i + N * s[:, None]).ravel()
-        F = SparseCholesky(Qpost, extra_pattern=(rows, cols), analysis=st.variance_analysis)
-        st.variance_analysis = F.analysis
-        variance = F.selected_inverse(rows, cols).reshape(K * K, N).sum(axis=0)
-    else:
-        F = SparseCholesky(Qpost, analysis=st.analysis)
-        st.analysis = F.analysis
-    sol = F.solve(rhs)
-    mean = sol.reshape(K, N, -1).sum(axis=0)
+    F = SparseCholesky(Qpost, analysis=st.analysis)
+    rhs = np.tile((memo.At @ obs.matrix) / obs.sigma_e**2, (K, 1))
+    mean = F.solve(rhs).reshape(K, N, -1).sum(axis=0)
     if obs.values.ndim == 1:
         mean = mean[:, 0]
+    variance = None
+    if compute_variance:
+        # Var(u_i) = sum_{r,s} Z_{(r i),(s i)}: the node-major order puts all
+        # K^2 of these pairs in the band, so one selected inverse reads them
+        i = np.arange(N)
+        r, s = np.divmod(np.arange(K * K), K)
+        variance = F.selected_inverse((i + N * r[:, None]).ravel(),
+                                      (i + N * s[:, None]).ravel()).reshape(K * K, N).sum(axis=0)
     return PosteriorSummary(mean=mean, variance=variance)
 
 
@@ -246,7 +248,6 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     Y = obs.matrix
     R = Y.shape[1]
     Fq = SparseCholesky(Qpost, analysis=st.analysis)
-    st.analysis = Fq.analysis
     # log det(T Q_i T) = log det Q_i + 2 sum(log tau) for each of the K blocks
     logdet_q = sum(f.logdet() for f in model.block_factors()) \
         + 2 * K * float(np.sum(np.log(model.tau_nodes)))
@@ -551,8 +552,11 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     e_B - P_BB^{-1} (P e)_B with P = (S + sigma^2 I)^{-1}, formed once.  For
     R = 0 that is the closed-form leave-one-out of Rasmussen & Williams
     (2006, sec. 5.4.2).  A location whose ball holds every observation is
-    skipped.
+    skipped.  The trend design @ beta is subtracted first; give both or
+    neither.
     """
+    if (design is None) != (beta is None):
+        raise InferenceError("leave_radius_out_cv takes design and beta together")
     A = obs.basis_matrix(model.mesh)
     cols = model.covariance_columns(np.asarray(A.T.todense()))
     S = np.asarray(A @ cols)
@@ -560,10 +564,8 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     s2 = obs.sigma_e**2
     D = model.mesh.graph.geodesic_matrix(obs.points)
     Y = obs.matrix
-    if design is not None and beta is not None:
-        trend = np.asarray(design, float) @ np.atleast_1d(beta)
-    else:
-        trend = np.zeros(obs.n)
+    trend = np.zeros(obs.n) if design is None else \
+        np.asarray(design, float) @ np.atleast_1d(beta)
     E = Y - trend[:, None]
     P = None
     out = []

@@ -67,16 +67,6 @@ def test_selected_inverse_matches_dense_on_pattern():
     assert np.abs(got - inv[rows, cols]).max() < 1e-12
 
 
-def test_selected_inverse_with_forced_pattern(operator):
-    n = operator.shape[0]
-    rows = np.array([0, 1, 2])
-    cols = np.array([n - 1, n - 2, n - 3])
-    F = SparseCholesky(operator, extra_pattern=(rows, cols))
-    inv = np.linalg.inv(operator.toarray())
-    got = F.selected_inverse(rows, cols)
-    assert np.allclose(got, inv[rows, cols], atol=1e-13)
-
-
 def test_selected_inverse_outside_band_raises(operator):
     """The error names the first pair outside the band and the bandwidth of
     the factor it was asked of, also when that is the second of a stack."""
@@ -246,16 +236,6 @@ def test_reused_analysis_gives_the_fresh_factor(mesh, kappa, shift):
     # a pattern held in fresh (equal, not identical) index arrays is reused too
     B = sparse.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
     assert SparseCholesky(B, analysis=first.analysis).analysis is first.analysis
-    # the same holds with forced pairs
-    n = L.shape[0]
-    extra = (np.array([0, 1]), np.array([n - 1, n - 2]))
-    forced = SparseCholesky(L, extra_pattern=extra)
-    reused = SparseCholesky(A, extra_pattern=(extra[0].copy(), extra[1].copy()),
-                            analysis=forced.analysis)
-    assert reused.analysis is forced.analysis
-    assert_same_factor(reused, SparseCholesky(A, extra_pattern=extra))
-    assert np.array_equal(reused.selected_inverse(*extra),
-                          SparseCholesky(A, extra_pattern=extra).selected_inverse(*extra))
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,8 +244,8 @@ def test_other_pattern_is_analysed_afresh(mesh, kappa):
     L, c = operator_matrix(mesh, kappa)
     analysis = SparseCholesky(L).analysis
     n = L.shape[0]
-    # a wider pattern, the same pattern renumbered, a pattern with one
-    # off-diagonal pair dropped, and L's pattern with other forced pairs
+    # a wider pattern, the same pattern renumbered, and a pattern with one
+    # off-diagonal pair dropped
     wider = sparse.csr_matrix(L @ sparse.diags(1.0 / c) @ L)
     order = np.random.default_rng(n).permutation(n)
     renumbered = sparse.csr_matrix(L[order][:, order])
@@ -275,11 +255,10 @@ def test_other_pattern_is_analysed_afresh(mesh, kappa):
         dropped[i, j] = dropped[j, i] = 0.0
     dropped = sparse.csr_matrix(dropped)
     dropped.eliminate_zeros()
-    for A, extra in ((wider, None), (renumbered, None), (dropped, None),
-                     (L, ([0], [n - 1]))):
-        F = SparseCholesky(A, extra_pattern=extra, analysis=analysis)
+    for A in (wider, renumbered, dropped):
+        F = SparseCholesky(A, analysis=analysis)
         assert F.analysis is not analysis
-        assert_same_factor(F, SparseCholesky(A, extra_pattern=extra))
+        assert_same_factor(F, SparseCholesky(A))
         assert np.abs(A @ F.solve(np.ones(n)) - 1.0).max() < 1e-8
 
 
@@ -288,6 +267,74 @@ def test_analysis_without_values_matches_the_factor(operator):
     F = SparseCholesky(operator)
     assert an.bw == F.bw and np.array_equal(an.perm, F.perm)
     assert SparseCholesky(operator, analysis=an).analysis is an
+
+
+def test_given_order_is_kept_and_factors_correctly(operator):
+    """An analysis of a given order keeps it, and a factor of that analysis
+    solves and inverts like the dense inverse, whatever the band width the
+    order makes; a factor reusing it keeps the order too."""
+    n = operator.shape[0]
+    inv = np.linalg.inv(operator.toarray())
+    b = np.linspace(-1.0, 1.0, n)
+    for perm in (np.random.default_rng(5).permutation(n), np.arange(n)[::-1]):
+        an = Analysis(operator, perm=perm)
+        assert np.array_equal(an.perm, perm)
+        F = SparseCholesky(operator, analysis=an)
+        assert F.analysis is an and np.array_equal(F.perm, perm)
+        assert np.abs(F.solve(b) - inv @ b).max() < 1e-12 * np.abs(inv @ b).max()
+        rows, cols = band_pairs(F)
+        assert np.abs(F.selected_inverse(rows, cols) - inv[rows, cols]).max() \
+            < 1e-12 * np.abs(inv).max()
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 1], [0, 1], [1, 2, 3], [[0, 1, 2]], [0.0, 1.5, 2.0]])
+def test_non_permutation_order_raises(perm):
+    A = sparse.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))
+    with pytest.raises(ValueError, match=r"not a permutation of range\(3\)"):
+        Analysis(A, perm=perm)
+
+
+def test_kriging_and_likelihood_share_one_node_major_analysis(monkeypatch):
+    """Kriging (mean, then variance) and the likelihood with its gradient on
+    one model (K = 3 blocks) and observation set build one analysis of the
+    stacked K N system, in node-major order, and factor on it all three
+    times."""
+    from graphfield.field import FieldModel
+    from graphfield.graph import GraphPoint
+    from graphfield.inference import ObservationSet, kriging, log_likelihood
+
+    mesh = build_mesh(tadpole_graph(), 0.05)
+    model = FieldModel.build(mesh, 0.75, 2.0, 1.0, m=2)
+    N, K = model.N, model.n_blocks
+    assert K == 3
+    rng = np.random.default_rng(7)
+    graph = mesh.graph
+    edges = rng.integers(graph.n_edges, size=30)
+    obs = ObservationSet([GraphPoint(int(e), rng.uniform(0, graph.edges[e].length))
+                          for e in edges], rng.standard_normal(30), 0.3)
+    stacked, factors = [], []
+    init, factor_init = Analysis.__init__, SparseCholesky.__init__
+
+    def counting(self, A, *args, **kwargs):
+        init(self, A, *args, **kwargs)
+        if A.shape[0] == K * N:
+            stacked.append(self)
+
+    def recording(self, A, *args, **kwargs):
+        factor_init(self, A, *args, **kwargs)
+        if A.shape[0] == K * N:
+            factors.append(self)
+
+    monkeypatch.setattr(Analysis, "__init__", counting)
+    monkeypatch.setattr(SparseCholesky, "__init__", recording)
+    kriging(model, obs)
+    kriging(model, obs, compute_variance=True)
+    log_likelihood(model, obs, gradient=True)
+    assert len(stacked) == 1 and len(factors) == 3
+    assert all(F.analysis is stacked[0] for F in factors)
+    # copy r of node order[p] sits at K p + r
+    order = stacked[0].perm[::K]
+    assert np.array_equal(stacked[0].perm, (order[:, None] + N * np.arange(K)).ravel())
 
 
 def test_duplicate_entries_are_summed_on_reuse():

@@ -418,11 +418,12 @@ def test_sym_leaves_its_argument_unchanged():
 
 
 def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
-    """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16) and the
-    log-likelihood with its gradient (tadpole, N = 3000, alpha = 1.4, m = 8,
-    300 observations) give the same bits whatever the OpenBLAS thread count.
-    The gradient's b-term sums over nnz(Q_i) > 10000 entries, where a BLAS
-    dot splits the sum between threads."""
+    """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16), and the
+    log-likelihood with its gradient, draws, and the kriging mean and
+    variance (tadpole, N = 3000, alpha = 1.4, m = 8, 300 observations; the
+    stacked band is wider than 32) give the same bits whatever the OpenBLAS
+    thread count.  The gradient's b-term sums over nnz(Q_i) > 10000 entries,
+    where a BLAS dot splits the sum between threads."""
     import os
     import subprocess
     import sys
@@ -433,7 +434,7 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
     code = ("import sys, numpy as np\n"
             "from graphfield.field import FieldModel\n"
             "from graphfield.graph import GraphPoint, tadpole_graph\n"
-            "from graphfield.inference import ObservationSet, log_likelihood\n"
+            "from graphfield.inference import ObservationSet, kriging, log_likelihood\n"
             "from graphfield.mesh import build_mesh\n"
             "graph = tadpole_graph()\n"
             "model = FieldModel.build(build_mesh(graph, 0.00025), 1.4, 3.0, 1.0)\n"
@@ -446,9 +447,12 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
             "          for e in edges]\n"
             "obs = ObservationSet(points, rng.standard_normal(300), 0.3)\n"
             "ll, _, grad = log_likelihood(small, obs, gradient=True)\n"
+            "post = kriging(small, obs, compute_variance=True)\n"
+            "assert obs._memo.stacked.analysis.bw > 32\n"
             "np.savez(sys.argv[1], variance=model.marginal_variance(), loglik=ll,\n"
             "         log_kappa=grad.log_kappa, log_tau=grad.log_tau,\n"
-            "         log_sigma_e=grad.log_sigma_e)\n")
+            "         log_sigma_e=grad.log_sigma_e, samples=small.sample(3, 5),\n"
+            "         kriging_mean=post.mean, kriging_variance=post.variance)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = []
     for threads in ("1", "2"):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
+from graphfield.cholesky import Analysis
 from graphfield.field import FieldModel, variance_stationary_model
 from graphfield.graph import GraphPoint, interval_graph, star_graph, tadpole_graph
 from graphfield.inference import (InferenceError, LogRegression, ModelSpec,
@@ -11,6 +15,8 @@ from graphfield.inference import (InferenceError, LogRegression, ModelSpec,
                                   fit, kriging, kriging_covariance_form,
                                   leave_radius_out_cv, log_likelihood)
 from graphfield.mesh import build_mesh
+
+from strategies import random_meshes
 
 
 @pytest.fixture(scope="module")
@@ -491,3 +497,66 @@ def test_cv_conditions_on_the_smaller_set(tadpole_model, monkeypatch):
     monkeypatch.setattr(inference, "cho_factor", lambda *a, **k: calls.append(1) or cho(*a, **k))
     leave_radius_out_cv(tadpole_model, ObservationSet(obs.points, obs.values, 0.2), [0.0])
     assert len(calls) == 1
+
+
+def test_cv_takes_design_and_beta_together(tadpole_model):
+    """A design without beta (or beta without a design) is refused rather
+    than read as a zero trend; both together subtract design @ beta."""
+    obs = random_obs(tadpole_model, 12, 42)
+    design = np.column_stack([np.ones(obs.n), np.linspace(-1.0, 1.0, obs.n)])
+    beta = np.array([0.5, -2.0])
+    for kwargs in ({"design": design}, {"beta": beta}):
+        with pytest.raises(InferenceError, match="design and beta together"):
+            leave_radius_out_cv(tadpole_model, obs, [0.0], **kwargs)
+    detrended = ObservationSet(obs.points, obs.values - design @ beta, obs.sigma_e)
+    for got, want in zip(leave_radius_out_cv(tadpole_model, obs, [0.0, 0.5], design, beta),
+                         leave_radius_out_cv(tadpole_model, detrended, [0.0, 0.5])):
+        assert got.mse == pytest.approx(want.mse, rel=1e-12)
+        assert got.nls == pytest.approx(want.nls, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=random_meshes(), case=st.sampled_from([(0.75, 1), (0.75, 3), (1.0, None),
+                                                   (1.4, 2), (2.0, None)]),
+       seed=st.integers(0, 2**32 - 1), replicates=st.integers(1, 2))
+def test_stacked_posterior_matches_dense_on_random_graphs(mesh, case, seed, replicates):
+    """On random graphs, kriging's mean and variance and the log-likelihood
+    of the stacked K N system match the dense covariance-form posterior and
+    Gaussian density, with non-constant kappa and tau and observations at
+    vertices, inside edges and at one point twice; the node-major band is at
+    most K (b + 1) - 1 wide, b the node pattern's RCM bandwidth."""
+    alpha, m = case
+    rng = np.random.default_rng(seed)
+    N, graph = mesh.N, mesh.graph
+    wave = np.sin(np.arange(N) * rng.uniform(0.1, 1.0))
+    model = FieldModel.build(mesh, alpha, 2.0 * np.exp(0.3 * wave), np.exp(0.2 * wave), m=m)
+    edges = rng.integers(graph.n_edges, size=12)
+    points = [GraphPoint(int(e), graph.edges[e].length * t)
+              for e, t in zip(edges, np.r_[0.0, 1.0, 0.0, rng.uniform(0.05, 0.95, 9)])]
+    points.append(points[-1])
+    n = len(points)
+    values = rng.standard_normal((n, replicates) if replicates > 1 else n)
+    obs = ObservationSet(points, values, float(rng.uniform(0.1, 1.0)))
+
+    post = kriging(model, obs, compute_variance=True)
+    ll, _ = log_likelihood(model, obs)
+    S = model.covariance()
+    A = obs.basis_matrix(mesh).toarray()
+    Sy = A @ S @ A.T + obs.sigma_e**2 * np.eye(n)
+    W = np.linalg.solve(Sy, A @ S)
+    mean, var = W.T @ values, np.diag(S) - np.einsum("ij,ij->j", A @ S, W)
+    assert np.abs(post.mean - mean).max() <= 1e-9 * np.abs(mean).max()
+    assert np.abs(post.variance - var).max() <= 1e-9 * var.max()
+    Y = obs.matrix
+    want = -0.5 * (replicates * (n * math.log(2 * math.pi) + np.linalg.slogdet(Sy)[1])
+                   + np.sum(Y * np.linalg.solve(Sy, Y)))
+    assert ll == pytest.approx(want, rel=1e-10)
+
+    blocks = model.precision_blocks() + [obs._memo.AtA]
+    rows = np.concatenate([np.repeat(np.arange(N), np.diff(M.indptr)) for M in blocks])
+    nodes = sparse.csr_matrix((np.ones(rows.size), (rows, np.concatenate(
+        [M.indices for M in blocks]))), shape=(N, N))
+    K, stacked = model.n_blocks, obs._memo.stacked.analysis
+    node_order = Analysis(nodes)
+    assert np.array_equal(stacked.perm[::K], node_order.perm)
+    assert stacked.bw <= K * (node_order.bw + 1) - 1
