@@ -63,6 +63,15 @@ def _parse_point(text: str) -> GraphPoint:
         raise CliError(f"point must be 'edge,t', got {text!r}") from None
 
 
+def _numbers(text: str, kind, option: str, sep: str = ",") -> list:
+    """The sep-separated values of an option, each converted by kind."""
+    try:
+        return [kind(x) for x in text.split(sep)]
+    except ValueError:
+        raise CliError(f"{option} must be {kind.__name__} values separated by {sep!r}, "
+                       f"got {text!r}") from None
+
+
 def _write_manifest(out_path, args, t0, extra=None):
     manifest = {
         "tool": "graphfield",
@@ -108,19 +117,23 @@ def read_observations(path, sigma_e) -> ObservationSet:
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise CliError(f"{path}, line {line}: t and value must be finite, "
                                f"got {row[1]!r} and {row[2]!r}")
-            rows.append((eid, t, v, rep))
+            rows.append((eid, t, v, rep, line))
     if not rows:
         raise CliError(f"no observations found in {path}")
     locs = {}
-    for e, t, v, r in rows:
-        locs.setdefault((e, t), {})[r] = v
+    for e, t, v, r, line in rows:
+        values = locs.setdefault((e, t), {})
+        if r in values:
+            raise CliError(f"{path}, lines {values[r][1]} and {line}: two values for edge {e}, "
+                           f"t={t!r}, replicate {r}")
+        values[r] = (v, line)
     points = [GraphPoint(e, t) for (e, t) in locs]
-    reps = sorted({r for _, _, _, r in rows})
+    reps = sorted({r for _, _, _, r, _ in rows})
     Y = np.full((len(points), len(reps)), np.nan)
     for i, key in enumerate(locs):
         for j, r in enumerate(reps):
             if r in locs[key]:
-                Y[i, j] = locs[key][r]
+                Y[i, j] = locs[key][r][0]
     if np.isnan(Y).any():
         raise CliError("replicates do not share a common location set")
     if Y.shape[1] == 1:
@@ -241,12 +254,16 @@ def cmd_oracle(args):
 
 def cmd_convergence(args):
     t0 = time.time()
-    alphas = [float(a) for a in args.alphas.split(",")]
+    alphas = _numbers(args.alphas, float, "--alphas")
     if ":" in args.levels:
-        lo, step, hi = (float(x) for x in args.levels.split(":"))
+        bounds = _numbers(args.levels, float, "--levels", ":")
+        if len(bounds) != 3 or not bounds[1] > 0:
+            raise CliError(f"--levels must be lo:step:hi (step > 0) or a comma list, "
+                           f"got {args.levels!r}")
+        lo, step, hi = bounds
         levels = list(np.arange(lo, hi + 1e-9, step))
     else:
-        levels = [float(x) for x in args.levels.split(",")]
+        levels = _numbers(args.levels, float, "--levels")
     fits, records = rate_experiment(args.graph, alphas, levels, rho=args.rho,
                                     calibration_c=args.c, h_ok=2.0**-args.hok_level)
     write_rates_csv(fits, args.out)
@@ -276,9 +293,9 @@ def _write_gnuplot_script(errors_csv, alphas):
 
 def cmd_errorgrid(args):
     t0 = time.time()
-    alphas = [float(a) for a in args.alphas.split(",")]
-    ms = [int(m) for m in args.ms.split(",")]
-    rhos = [float(r) for r in args.rhos.split(",")]
+    alphas = _numbers(args.alphas, float, "--alphas")
+    ms = _numbers(args.ms, int, "--ms")
+    rhos = _numbers(args.rhos, float, "--rhos")
     records = error_grid(args.graph, alphas, ms, rhos, h=2.0**-args.level,
                          h_ok=2.0**-args.hok_level)
     write_records_csv(records, args.out)
@@ -340,7 +357,7 @@ def cmd_cv(args):
     mesh = build_mesh(g, args.h)
     obs = read_observations(args.obs, args.sigma_e)
     model = _model_from_args(args, mesh)
-    radii = [float(r) for r in args.radii.split(",")]
+    radii = _numbers(args.radii, float, "--radii")
     records = leave_radius_out_cv(model, obs, radii)
     write_cv_csv(records, args.out)
     _write_manifest(args.out, args, t0)

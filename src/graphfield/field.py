@@ -10,11 +10,11 @@ and x the tau = 1 field, whose covariance is
 with K_n = k (L^{-1}C)^{n} C^{-1}; Sigma_u = T^{-1} Sigma_x T^{-1}.  Equivalently
 x = sum of m+1 independent GMRFs with tau-free sparse precisions
 
-    Q_i = r_i^{-1} (L - p_i C)(C^{-1}L)^{n}   (i = 1..m),
-    Q_{m+1} = K_n^{-1},
+    Q_i = r_i^{-1} (L - p_i C)(C^{-1}L)^{n} = (M_{n+1} - p_i M_n) / r_i   (i = 1..m),
+    Q_{m+1} = K_n^{-1} = M_n / k,      M_j = C (C^{-1}L)^j = L (C^{-1}L)^{j-1},
 
 and u's blocks are T Q_i T.  For integer alpha the rational stage is bypassed
-and Q = L (C^{-1}L)^{alpha-1}.
+and Q = M_alpha.
 
 The blocks, their factors and the diagonal of their summed inverses depend
 on (mesh, kappa, alpha, m) only; tau is applied where they are used, so
@@ -121,15 +121,12 @@ class FieldModel:
     def N(self) -> int:
         return self.mesh.N
 
-    def _lambda_power(self, n: int):
-        """Sparse (C^{-1} L)^n, or None for n = 0."""
-        if n == 0:
-            return None
-        S = diags(1.0 / self.c_diag) @ self.L
-        P = S
-        for _ in range(n - 1):
-            P = P @ S
-        return P
+    def _powers(self, n: int) -> list:
+        """[None, S, S^2, ..., S^n] for S = C^{-1} L, None standing for S^0 = I."""
+        power = [None]
+        for j in range(n):
+            power.append(diags(1.0 / self.c_diag) @ self.L if j == 0 else power[-1] @ power[1])
+        return power
 
     def _shifted(self, p: float) -> csr_matrix:
         """L - p C on L's pattern."""
@@ -140,24 +137,14 @@ class FieldModel:
         if self._core.blocks:
             return self._core.blocks
         n = int(math.floor(self.alpha))
-        blocks = []
         if self.rational is None:
-            P = self._lambda_power(int(self.alpha) - 1)
-            Q = self.L if P is None else self.L @ P
-            blocks.append(_sym(Q))
+            blocks = [_sym(_times(self.L, self._powers(n - 1)[n - 1]))]
         else:
-            P = self._lambda_power(n)
-            for r, p in zip(self.rational.residues, self.rational.poles):
-                Lp = self._shifted(p)
-                Q = Lp if P is None else Lp @ P
-                blocks.append(_sym(Q) / r)
-            k = self.rational.k
-            if n == 0:
-                Kinv = diags(self.c_diag) / k
-            else:
-                Pm1 = self._lambda_power(n - 1)
-                Kinv = (self.L if Pm1 is None else self.L @ Pm1) / k
-            blocks.append(_sym(Kinv))
+            power = self._powers(n)
+            blocks = [_sym(_times(self._shifted(p), power[n])) / r
+                      for r, p in zip(self.rational.residues, self.rational.poles)]
+            tail = diags(self.c_diag) if n == 0 else _times(self.L, power[n - 1])
+            blocks.append(_sym(tail / self.rational.k))
         self._core.blocks = blocks
         return blocks
 
@@ -225,56 +212,44 @@ class FieldModel:
         """d/d log kappa of sum_i <V_i, Q_i> for tau-free weights V_i on the
         blocks' patterns.
 
-        Every block that depends on L is s (L + sigma C)(C^{-1}L)^q; with
-        dL = diag(d), d = 2 kappa^2 C dlog kappa, its derivative is the sum over
-        the L-factors of A diag(d) B (A, B the products before and after,
-        C^{-1} folded into A), and <V, A diag(d) B> = d . rowsum((A'V) o B).
+        The sum is <H, M_{n+1}> + <G, M_n> with H = sum_i V_i / r_i and
+        G = -sum_i p_i V_i / r_i + V_tail / k (the module docstring's M_j), so
+        the gradient is one product-rule chain per power (M_0 = C has none).
+        With dL = diag(d), d = 2 kappa^2 C dlog kappa, dM_j is the sum over the
+        L-factors of M_j of A diag(d) B (A, B the products before and after,
+        C^{-1} folded into A), and <W, A diag(d) B> = d . rowsum((A'W) o B).
         The rational coefficients depend on b = 1 / min(kappa)^2 (residues as
-        b^(a-1), poles as 1/b, k as b^a), which adds -2 sum_i <V_i, dQ_i/dlog b>
-        at the node where kappa is smallest (the first such node on ties).
-        Its inner products are np.sum reductions, not BLAS dots, whose
-        summation order (so their last bits) follows the BLAS thread count.
+        b^(a-1), poles as 1/b, k as b^a), which adds
+        -2 ((1 - a) <H, M_{n+1}> - a <G, M_n>) at the node where kappa is
+        smallest (the first such node on ties).  Its inner products are np.sum
+        reductions, not BLAS dots, whose summation order (so their last bits)
+        follows the BLAS thread count.
         """
-        c = self.c_diag
-        n = int(math.floor(self.alpha))
-        # (C^{-1}L)^j for j = 0..max q (None for j = 0)
-        power = [self._lambda_power(j) for j in range(n if self.rational is None else n + 1)]
+        c, n = self.c_diag, int(math.floor(self.alpha))
+        blocks = self._tau_free_blocks()
+        if self.rational is None:  # M_alpha = M_{n+1} for n = alpha - 1
+            (Q,), (v,) = blocks, weights
+            n, sums = n - 1, [csr_matrix((v, Q.indices, Q.indptr), shape=Q.shape)]
+        else:
+            res, poles = np.array(self.rational.residues), np.array(self.rational.poles)
+            sums = [_weighted_sum(blocks[:-1], weights, 1.0 / res),
+                    _weighted_sum(blocks, weights, np.append(-poles / res, 1.0 / self.rational.k))]
+        power = self._powers(n)
+        # M_1, M_2, ... (M_0 = C is read off c); only the b-term reads M_{n+1}
+        M = [None] + [_times(self.L, P) for P in power[:n + 1 if self.rational else n]]
         h = np.zeros(self.N)
-        dlog_b = 0.0
-        for i, (Q, v) in enumerate(zip(self._tau_free_blocks(), weights)):
-            V = csr_matrix((v, Q.indices, Q.indptr), shape=Q.shape)
-            if self.rational is None:
-                scale, A, q = 1.0, self.L, n - 1
-            else:
-                a = self.rational.alpha_frac
-                if i == self.m:  # the tail block, proportional to 1 / k
-                    dlog_b -= a * float(np.sum(v * Q.data))
-                    if n == 0:
-                        continue
-                    scale, A, q = 1.0 / self.rational.k, self.L, n - 1
-                else:
-                    r, p = self.rational.residues[i], self.rational.poles[i]
-                    scale, A, q = 1.0 / r, self._shifted(p), n
-                    # dQ/dlog b = (p / r) C (C^{-1}L)^n - (a - 1) Q, where
-                    # C (C^{-1}L)^n = L (C^{-1}L)^(n-1) for n >= 1
-                    if n == 0:
-                        CMn = float(np.sum(V.diagonal() * c))
-                    else:
-                        P = power[n - 1]
-                        CMn = float(V.multiply(self.L if P is None else self.L @ P).sum())
-                    dlog_b += p / r * CMn - (a - 1) * float(np.sum(v * Q.data))
-            # the L-factors of A (C^{-1}L)^q, first A itself, then each C^{-1}L
-            for t in range(q + 1):
-                AV = V if t == 0 else A.T @ V
-                B = power[q - t]
-                term = AV.diagonal() if B is None else \
-                    np.asarray(AV.multiply(B).sum(axis=1)).ravel()
-                h += scale * (term if t == 0 else term / c)
-                if t:
-                    A = A @ power[1]
+        for j, W in zip((n + 1, n), sums):
+            for t in range(j):  # the L-factors of M_j: first L, then each C^{-1}L
+                AW = W if t == 0 else M[t].T @ W
+                B = power[j - 1 - t]
+                term = AW.diagonal() if B is None else \
+                    np.asarray(AW.multiply(B).sum(axis=1)).ravel()
+                h += term if t == 0 else term / c
         out = 2 * self.kappa_nodes**2 * c * h
         if self.rational is not None:
-            out[np.argmin(self.kappa_nodes)] -= 2 * dlog_b
+            (H, G), a = sums, self.rational.alpha_frac
+            GMn = np.sum(G.diagonal() * c) if n == 0 else _inner(G, M[n])
+            out[np.argmin(self.kappa_nodes)] -= 2 * float((1 - a) * _inner(H, M[n + 1]) - a * GMn)
         return out
 
     def _operator_analysis(self, M):
@@ -390,6 +365,30 @@ class FieldModel:
             z = rng.standard_normal((self.N, n_samples))
             out += F.sample_backsolve(z)
         return (out / self.tau_nodes[:, None]).T
+
+
+def _times(A, P):
+    """A P, with P = None standing for the identity."""
+    return A if P is None else A @ P
+
+
+def _weighted_sum(blocks, weights, scales) -> csr_matrix:
+    """sum_i scales[i] V_i as one CSR matrix, V_i the weights on block i's
+    pattern; blocks on the running sum's pattern add their data arrays."""
+    out = None
+    for Q, v, s in zip(blocks, weights, scales):
+        if out is not None and same_pattern(Q, out.indptr, out.indices):
+            out.data += s * v
+        else:
+            V = csr_matrix((s * v, Q.indices, Q.indptr), shape=Q.shape)
+            out = V if out is None else out + V
+    return out
+
+
+def _inner(W, M) -> float:
+    """sum(W o M) for CSR matrices by np.sum, on the data if they share a pattern."""
+    same = same_pattern(W, M.indptr, M.indices)
+    return np.sum(W.data * M.data if same else W.multiply(M).data)
 
 
 def _sym(M) -> csr_matrix:

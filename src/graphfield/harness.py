@@ -124,10 +124,7 @@ def _coarse_error(mesh, model, pts, w, sigma_exact):
     t0 = time.time()
     S = model.covariance()
     A = mesh.basis_matrix(pts)
-    D = sigma_exact - A @ S @ A.T
-    l2 = math.sqrt(float(w @ (D * D) @ w))
-    sup = float(np.abs(D).max())
-    return l2, sup, time.time() - t0
+    return l2_error(sigma_exact, S, A, w), sup_error(sigma_exact, S, A), time.time() - t0
 
 
 def rate_experiment(kind: str, alphas, levels=(4.5, 4.75, 5.0, 5.25, 5.5),

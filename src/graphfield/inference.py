@@ -553,10 +553,13 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     R = 0 that is the closed-form leave-one-out of Rasmussen & Williams
     (2006, sec. 5.4.2).  A location whose ball holds every observation is
     skipped.  The trend design @ beta is subtracted first; give both or
-    neither.
+    neither.  A radius must be a number >= 0.
     """
     if (design is None) != (beta is None):
         raise InferenceError("leave_radius_out_cv takes design and beta together")
+    for R in radii:
+        if not R >= 0:
+            raise InferenceError(f"cv radius must be a number >= 0, got {R}")
     A = obs.basis_matrix(model.mesh)
     cols = model.covariance_columns(np.asarray(A.T.todense()))
     S = np.asarray(A @ cols)

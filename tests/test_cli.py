@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from graphfield.cli import _write_node_csv, main, read_observations
+from graphfield.cli import CliError, _write_node_csv, main, read_observations
 from graphfield.exprs import CoefficientExpression, ExpressionError
 from graphfield.graph import interval_graph
 from graphfield.mesh import build_mesh
@@ -242,6 +242,16 @@ def test_read_observations_replicates(tmp_path):
     assert obs.matrix.shape == (2, 2)
 
 
+def test_read_observations_rejects_a_repeated_location_and_replicate(tmp_path):
+    """Two rows for one (edge, t, replicate) are refused, not reduced to the
+    last of them."""
+    p = tmp_path / "o.csv"
+    p.write_text("edge_id,t,value,replicate\n0,0.1,1.0,0\n0,0.5,2.0,0\n0,0.10,3.0,0\n")
+    with pytest.raises(CliError, match=r"o\.csv, lines 2 and 4: two values for edge 0, "
+                                       r"t=0\.1, replicate 0"):
+        read_observations(p, 0.1)
+
+
 @pytest.mark.parametrize("content, line", [
     ("edge_id,t,value\n0,0.1,1.0\n0,0.5,abc\n", 3),
     ("0,0.1,1.0\n0,0.5,nan\n", 2),
@@ -318,6 +328,10 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["rational", "--alpha", "1.0", "--m", "3"], "fractional exponent"),
     # {alpha} = 0.001 underflows the minimax start nodes at the capped m = 16
     (["simulate", "tadpole", "--alpha", "1.001", "--n", "1"], "{alpha} = 0.001, m = 16"),
+    (["cv", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "0.1", "--radii=-1"],
+     "cv radius must be a number >= 0, got -1.0"),
+    (["cv", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "0.1", "--radii", "0,abc"],
+     "--radii must be float values separated by ',', got '0,abc'"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     obs = tmp_path / "obs.csv"
@@ -328,6 +342,23 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["errorgrid", "--ms", "1,x"], "--ms must be int values separated by ',', got '1,x'"),
+    (["errorgrid", "--alphas", "0.75,"], "--alphas must be float values"),
+    (["errorgrid", "--rhos", "0.5;1"], "--rhos must be float values"),
+    (["convergence", "--levels", "4,x"], "--levels must be float values separated by ','"),
+    (["convergence", "--levels", "4:x:5"], "--levels must be float values separated by ':'"),
+    (["convergence", "--levels", "4:5"], "--levels must be lo:step:hi (step > 0)"),
+    (["convergence", "--levels", "4:0:5"], "--levels must be lo:step:hi (step > 0)"),
+])
+def test_malformed_number_lists_reported_without_traceback(tmp_path, capsys, argv, message):
+    argv = argv[:1] + ["--graph", "interval:1", "--out", str(tmp_path / "out.csv")] + argv[1:]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("expr", ["log(t-1)", "1/t", "exp(1000*t)", "(-1)**0.5"])

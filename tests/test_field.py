@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from graphfield.assembly import lump_mass, assemble_mass
-from graphfield.cholesky import SparseCholesky
+from graphfield.cholesky import SparseCholesky, same_pattern
 from graphfield.exprs import CoefficientExpression
 from graphfield.field import (FieldModel, FieldError, _sym, log_regression_coefficients,
                               variance_stationary_model)
@@ -366,6 +366,41 @@ def test_first_order_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
     assert_same_csr(blocks[-1], reference_sym(Cd / model.rational.k))
 
 
+@settings(max_examples=12, deadline=None)
+@given(mesh=random_meshes(), alpha=st.sampled_from([0.75, 1.4, 2.0, 2.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_kappa_gradient_matches_central_differences_of_the_blocks(mesh, alpha, seed):
+    """_kappa_gradient on random weights V_i against central differences in
+    log kappa of sum_i <V_i, Q_i(kappa)>, at random nodes and at the node of
+    smallest kappa, where the rational coefficients move with
+    b = 1 / min(kappa)^2."""
+    rng = np.random.default_rng(seed)
+    log_kappa = np.log(2.0) + 0.3 * rng.standard_normal(mesh.N)
+    lowest = int(rng.integers(mesh.N))
+    log_kappa[lowest] = log_kappa.min() - 0.2  # stays the unique minimum under the steps
+
+    def blocks(log_kappa):
+        return FieldModel.build(mesh, alpha, np.exp(log_kappa), 1.0, m=3)._tau_free_blocks()
+
+    base = blocks(log_kappa)
+    weights = [rng.standard_normal(Q.nnz) for Q in base]
+
+    def objective(log_kappa):
+        total = 0.0
+        for Q, P, v in zip(blocks(log_kappa), base, weights):
+            assert same_pattern(Q, P.indptr, P.indices)
+            total += np.sum(v * Q.data)
+        return total
+
+    grad = FieldModel.build(mesh, alpha, np.exp(log_kappa), 1.0, m=3)._kappa_gradient(weights)
+    step = 1e-5
+    for a in {lowest, *rng.choice(mesh.N, 4, replace=False)}:
+        e = np.zeros(mesh.N)
+        e[a] = step
+        fd = (objective(log_kappa + e) - objective(log_kappa - e)) / (2 * step)
+        assert abs(grad[a] - fd) <= 1e-6 * np.abs(grad).max(), (a, a == lowest, grad[a], fd)
+
+
 def test_integer_alpha_one_block_is_the_operator():
     mesh = build_mesh(tadpole_graph(), 0.05)
     model = FieldModel.build(mesh, 1.0, 2.0, 1.0)
@@ -419,11 +454,12 @@ def test_sym_leaves_its_argument_unchanged():
 
 def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
     """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16), and the
-    log-likelihood with its gradient, draws, and the kriging mean and
-    variance (tadpole, N = 3000, alpha = 1.4, m = 8, 300 observations; the
-    stacked band is wider than 32) give the same bits whatever the OpenBLAS
-    thread count.  The gradient's b-term sums over nnz(Q_i) > 10000 entries,
-    where a BLAS dot splits the sum between threads."""
+    log-likelihood with its gradient, draws, the kriging mean and variance
+    (tadpole, N = 3000, alpha = 1.4, m = 8, 300 observations; the stacked
+    band is wider than 32) and a short fit on that mesh (a kappa covariate,
+    a few evaluations) give the same bits whatever the OpenBLAS thread
+    count.  The gradient's b-term sums over nnz(Q_i) > 10000 entries, where
+    a BLAS dot splits the sum between threads."""
     import os
     import subprocess
     import sys
@@ -434,7 +470,8 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
     code = ("import sys, numpy as np\n"
             "from graphfield.field import FieldModel\n"
             "from graphfield.graph import GraphPoint, tadpole_graph\n"
-            "from graphfield.inference import ObservationSet, kriging, log_likelihood\n"
+            "from graphfield.inference import (LogRegression, ModelSpec, ObservationSet,\n"
+            "                                  fit, kriging, log_likelihood)\n"
             "from graphfield.mesh import build_mesh\n"
             "graph = tadpole_graph()\n"
             "model = FieldModel.build(build_mesh(graph, 0.00025), 1.4, 3.0, 1.0)\n"
@@ -449,10 +486,17 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
             "ll, _, grad = log_likelihood(small, obs, gradient=True)\n"
             "post = kriging(small, obs, compute_variance=True)\n"
             "assert obs._memo.stacked.analysis.bw > 32\n"
+            "spec = ModelSpec(alpha=1.4, kappa=LogRegression(None, [None]),\n"
+            "                 tau=LogRegression(None, []), sigma_e='estimate',\n"
+            "                 covariates=[np.sin(np.arange(small.N) / 50.0)])\n"
+            "result = fit(spec, small.mesh, obs, max_evaluations=3)\n"
+            "assert result.model.rational is not None and result.n_evaluations < 20\n"
             "np.savez(sys.argv[1], variance=model.marginal_variance(), loglik=ll,\n"
             "         log_kappa=grad.log_kappa, log_tau=grad.log_tau,\n"
             "         log_sigma_e=grad.log_sigma_e, samples=small.sample(3, 5),\n"
-            "         kriging_mean=post.mean, kriging_variance=post.variance)\n")
+            "         kriging_mean=post.mean, kriging_variance=post.variance,\n"
+            "         fit_params=[result.params[k] for k in sorted(result.params)],\n"
+            "         fit_loglik=result.loglik)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = []
     for threads in ("1", "2"):

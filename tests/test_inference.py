@@ -499,6 +499,13 @@ def test_cv_conditions_on_the_smaller_set(tadpole_model, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("radius", [-1.0, float("nan")])
+def test_cv_rejects_a_negative_or_nan_radius(tadpole_model, radius):
+    obs = random_obs(tadpole_model, 5, 50)
+    with pytest.raises(InferenceError, match=f"cv radius must be a number >= 0, got {radius}"):
+        leave_radius_out_cv(tadpole_model, obs, [0.0, radius])
+
+
 def test_cv_takes_design_and_beta_together(tadpole_model):
     """A design without beta (or beta without a design) is refused rather
     than read as a zero trend; both together subtract design @ beta."""
