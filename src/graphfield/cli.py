@@ -25,8 +25,8 @@ from .exprs import CoefficientExpression, ExpressionError
 from .field import FieldError, FieldModel, variance_stationary_model
 from .fractional import ORDER_CAP, RationalError, brasil, fractional_part, partial_fractions
 from .graph import GraphError, GraphPoint, MetricGraph, builtin_graph, validate
-from .harness import (DEFAULT_CALIBRATION_C, error_grid, oracle_graph, rate_experiment,
-                      rates_table, write_records_csv, write_rates_csv)
+from .harness import (DEFAULT_CALIBRATION_C, MIN_RATE_LEVELS, error_grid, oracle_graph,
+                      rate_experiment, rates_table, write_records_csv, write_rates_csv)
 from .inference import (InferenceError, ModelSpec, ObservationSet, fit, kriging,
                         leave_radius_out_cv, write_cv_csv)
 from .mesh import build_mesh
@@ -264,6 +264,9 @@ def cmd_convergence(args):
         levels = list(np.arange(lo, hi + 1e-9, step))
     else:
         levels = _numbers(args.levels, float, "--levels")
+    if len(levels) < MIN_RATE_LEVELS:
+        raise CliError(f"--levels must give at least {MIN_RATE_LEVELS} mesh levels for the "
+                       f"rate fit, got {len(levels)} from {args.levels!r}")
     fits, records = rate_experiment(args.graph, alphas, levels, rho=args.rho,
                                     calibration_c=args.c, h_ok=2.0**-args.hok_level)
     write_rates_csv(fits, args.out)
@@ -307,7 +310,7 @@ def cmd_errorgrid(args):
 def _spec_from_file(path, mesh):
     with open(path) as f:
         d = json.load(f)
-    cov_exprs = d.get("covariates", [])
+    cov_exprs = d.get("covariates", []) if isinstance(d, dict) else []
     covs = [CoefficientExpression(c).node_values(mesh) for c in cov_exprs]
     return ModelSpec.from_dict(d, covariates=covs)
 

@@ -5,22 +5,26 @@ C~) with a rational approximation of the fractional power.  The SPDE
 (kappa^2 - Delta)^{alpha/2} (tau u) = W makes u = T^{-1} x with T = diag(tau)
 and x the tau = 1 field, whose covariance is
 
-    Sigma_x = (L^{-1}C)^{n} sum_i r_i (L - p_i C)^{-1} + K_n,   n = floor(alpha),
+    Sigma_x = (L^{-1}C)^{n} (sum_i r_i (L - p_i C)^{-1} + k C^{-1}),   n = floor(alpha),
 
-with K_n = k (L^{-1}C)^{n} C^{-1}; Sigma_u = T^{-1} Sigma_x T^{-1}.  Equivalently
-x = sum of m+1 independent GMRFs with tau-free sparse precisions
+where {r_i, p_i, k} approximate x^{alpha - n}.  For integer alpha that power
+is x^0 = 1 exactly: no terms and k = 1.  Sigma_u = T^{-1} Sigma_x T^{-1}.
+Equivalently x = sum of m+1 independent GMRFs with tau-free sparse precisions
 
     Q_i = r_i^{-1} (L - p_i C)(C^{-1}L)^{n} = (M_{n+1} - p_i M_n) / r_i   (i = 1..m),
-    Q_{m+1} = K_n^{-1} = M_n / k,      M_j = C (C^{-1}L)^j = L (C^{-1}L)^{j-1},
+    Q_{m+1} = M_n / k,      M_j = C (C^{-1}L)^j = L (C^{-1}L)^{j-1},
 
-and u's blocks are T Q_i T.  For integer alpha the rational stage is bypassed
-and Q = M_alpha.
+and u's blocks are T Q_i T; for integer alpha the one block is M_alpha.
+Sampling, the marginal variance, kriging and the likelihood read the blocks.
+Covariance applies (covariance, covariance_columns, covariance_row) read the
+first form instead, through factors of L and of the shifted operators
+L - p_i C, which avoids the products of the blocks.
 
 The blocks, their factors and the diagonal of their summed inverses depend
 on (mesh, kappa, alpha, m) only; tau is applied where they are used, so
 models that differ only in tau share them (see variance_stationary_model).
 Every matrix on the operator's pattern (L, L - p_i C, the blocks for
-alpha <= 1 and the tail block L / k for 1 < alpha < 2) shares the mesh's
+alpha <= 1 and the tail block L / k for 1 <= alpha < 2) shares the mesh's
 symbolic analysis of that pattern; blocks of one model that share another
 pattern (the product blocks) share the analysis of the first of them.
 """
@@ -69,8 +73,7 @@ class FieldModel:
     alpha: float
     kappa_nodes: np.ndarray
     tau_nodes: np.ndarray
-    m: int
-    rational: PartialFractions | None
+    rational: PartialFractions
     L: csr_matrix
     c_diag: np.ndarray
     _core: _BlockCore = field(default_factory=_BlockCore, repr=False)
@@ -80,8 +83,8 @@ class FieldModel:
     def build(cls, mesh: Mesh, alpha: float, kappa, tau, m: int | None = None,
               calibration_c: float = 1.0) -> "FieldModel":
         """Construct a model; m defaults to the order calibrated from the mesh
-        width (integer alpha always bypasses the rational stage with m = 0).
-        An explicit m above ORDER_CAP is rejected."""
+        width (integer alpha takes the exact form of x^0, with m = 0).  An
+        explicit m above ORDER_CAP is rejected."""
         if alpha <= 0.5:
             raise FieldError("smoothness alpha must exceed 1/2")
         if alpha > 3.0:
@@ -91,13 +94,11 @@ class FieldModel:
         tau_nodes = positive_coefficient(mesh, tau, "tau")
         L, c_diag = operator_matrix(mesh, kappa_nodes)
         frac = fractional_part(alpha)
-        integer = frac == 0.0
-        if integer:
-            m = 0
-        elif m is None:
-            m = calibrate_order(alpha, mesh.h, calibration_c)
-        rational = None
-        if not integer:
+        if frac == 0.0:
+            alpha, rational = round(alpha), PartialFractions((), (), 1.0, 0.0, 1.0)
+        else:
+            if m is None:
+                m = calibrate_order(alpha, mesh.h, calibration_c)
             if m < 1:
                 raise FieldError("fractional alpha requires rational order m >= 1")
             if m > ORDER_CAP:
@@ -107,24 +108,30 @@ class FieldModel:
             if m >= 5:
                 cond = abs(min(rational.poles)) * float(np.max(c_diag) / np.min(kappa_nodes) ** 2)
                 logger.info("rational order m=%d, extreme-pole condition scale %.2e", m, cond)
-        return cls(mesh=mesh, alpha=round(alpha) if integer else alpha,
-                   kappa_nodes=kappa_nodes, tau_nodes=tau_nodes, m=int(m),
+        return cls(mesh=mesh, alpha=alpha, kappa_nodes=kappa_nodes, tau_nodes=tau_nodes,
                    rational=rational, L=L, c_diag=c_diag)
 
     # -- precision blocks ------------------------------------------------------
 
     @property
+    def m(self) -> int:
+        return len(self.rational.poles)
+
+    @property
     def n_blocks(self) -> int:
-        return 1 if self.rational is None else self.m + 1
+        return self.m + 1
 
     @property
     def N(self) -> int:
         return self.mesh.N
 
-    def _powers(self, n: int) -> list:
-        """[None, S, S^2, ..., S^n] for S = C^{-1} L, None standing for S^0 = I."""
+    def _powers(self) -> list:
+        """[None, S, S^2, ...] for S = C^{-1} L, None standing for S^0 = I, up
+        to the highest power a block reads: S^n for the shifted blocks, else
+        S^{n-1} for the tail M_n = L S^{n-1}."""
+        n = int(math.floor(self.alpha))
         power = [None]
-        for j in range(n):
+        for j in range(n if self.m else n - 1):
             power.append(diags(1.0 / self.c_diag) @ self.L if j == 0 else power[-1] @ power[1])
         return power
 
@@ -133,18 +140,16 @@ class FieldModel:
         return shift_diagonal(self.mesh, self.L, -p * self.c_diag)
 
     def _tau_free_blocks(self) -> list[csr_matrix]:
-        """The m+1 tau-free blocks Q_i (a single block for integer alpha)."""
+        """The m shifted blocks and the tail block M_n / k."""
         if self._core.blocks:
             return self._core.blocks
-        n = int(math.floor(self.alpha))
-        if self.rational is None:
-            blocks = [_sym(_times(self.L, self._powers(n - 1)[n - 1]))]
-        else:
-            power = self._powers(n)
-            blocks = [_sym(_times(self._shifted(p), power[n])) / r
-                      for r, p in zip(self.rational.residues, self.rational.poles)]
-            tail = diags(self.c_diag) if n == 0 else _times(self.L, power[n - 1])
-            blocks.append(_sym(tail / self.rational.k))
+        n, rat, power = int(math.floor(self.alpha)), self.rational, self._powers()
+        blocks = [_sym(_times(self._shifted(p), power[n])) / r
+                  for r, p in zip(rat.residues, rat.poles)]
+        tail = diags(self.c_diag, format="csr") if n == 0 else _times(self.L, power[n - 1])
+        # tail / k would copy the matrix twice (astype, then the scalar product)
+        blocks.append(_sym(csr_matrix((tail.data * (1 / rat.k), tail.indices, tail.indptr),
+                                      shape=tail.shape)))
         self._core.blocks = blocks
         return blocks
 
@@ -223,22 +228,26 @@ class FieldModel:
         -2 ((1 - a) <H, M_{n+1}> - a <G, M_n>) at the node where kappa is
         smallest (the first such node on ties).  Its inner products are np.sum
         reductions, not BLAS dots, whose summation order (so their last bits)
-        follows the BLAS thread count.
+        follows the BLAS thread count.  With no shifted blocks (integer alpha)
+        H and the b-term vanish.
         """
-        c, n = self.c_diag, int(math.floor(self.alpha))
-        blocks = self._tau_free_blocks()
-        if self.rational is None:  # M_alpha = M_{n+1} for n = alpha - 1
-            (Q,), (v,) = blocks, weights
-            n, sums = n - 1, [csr_matrix((v, Q.indices, Q.indptr), shape=Q.shape)]
-        else:
-            res, poles = np.array(self.rational.residues), np.array(self.rational.poles)
-            sums = [_weighted_sum(blocks[:-1], weights, 1.0 / res),
-                    _weighted_sum(blocks, weights, np.append(-poles / res, 1.0 / self.rational.k))]
-        power = self._powers(n)
-        # M_1, M_2, ... (M_0 = C is read off c); only the b-term reads M_{n+1}
-        M = [None] + [_times(self.L, P) for P in power[:n + 1 if self.rational else n]]
+        c, n, rat = self.c_diag, int(math.floor(self.alpha)), self.rational
+        blocks, power = self._tau_free_blocks(), self._powers()
+        G = _weighted_sum(blocks, weights,
+                          [-p / r for r, p in zip(rat.residues, rat.poles)] + [1.0 / rat.k])
+        # M_1, M_2, ... (M_0 = C is read off c)
+        M = [None] + [_times(self.L, P) for P in power[:-1]]
+        chains, b_term = [], 0.0
+        if self.m:
+            H = _weighted_sum(blocks[:-1], weights, [1.0 / r for r in rat.residues])
+            M.append(_times(self.L, power[n]))
+            chains.append((n + 1, H))
+            a = rat.alpha_frac
+            GMn = np.sum(G.diagonal() * c) if n == 0 else _inner(G, M[n])
+            b_term = 2 * float((1 - a) * _inner(H, M[n + 1]) - a * GMn)
+        chains.append((n, G))
         h = np.zeros(self.N)
-        for j, W in zip((n + 1, n), sums):
+        for j, W in chains:
             for t in range(j):  # the L-factors of M_j: first L, then each C^{-1}L
                 AW = W if t == 0 else M[t].T @ W
                 B = power[j - 1 - t]
@@ -246,10 +255,7 @@ class FieldModel:
                     np.asarray(AW.multiply(B).sum(axis=1)).ravel()
                 h += term if t == 0 else term / c
         out = 2 * self.kappa_nodes**2 * c * h
-        if self.rational is not None:
-            (H, G), a = sums, self.rational.alpha_frac
-            GMn = np.sum(G.diagonal() * c) if n == 0 else _inner(G, M[n])
-            out[np.argmin(self.kappa_nodes)] -= 2 * float((1 - a) * _inner(H, M[n + 1]) - a * GMn)
+        out[np.argmin(self.kappa_nodes)] -= b_term
         return out
 
     def _operator_analysis(self, M):
@@ -272,41 +278,30 @@ class FieldModel:
         """Dense Sigma_u from the rational expansion (not via block inverses)."""
         if self.N > _DENSE_GUARD:
             raise FieldError(f"dense covariance guarded at N <= {_DENSE_GUARD}")
-        return self._covariance_rhs(np.eye(self.N))
+        S = self._covariance_rhs(np.eye(self.N))
+        return 0.5 * (S + S.T)
 
     def covariance_columns(self, cols: np.ndarray) -> np.ndarray:
         """Selected columns of Sigma_u: Sigma_u @ R for a dense RHS R."""
         return self._covariance_rhs(np.asarray(cols, float))
 
     def _covariance_rhs(self, R: np.ndarray) -> np.ndarray:
-        tinv = 1.0 / self.tau_nodes
-        Rt = R * tinv[:, None] if R.ndim == 2 else R * tinv
+        """Sigma_u R for R of shape (N,) or (N, p).  With R~ = T^{-1} R and
+        A = sum_i r_i (L - p_i C)^{-1} R~, Sigma_x R~ is A + k C^{-1} R~ for
+        n = 0 and (L^{-1}C)^{n-1} L^{-1} (C A + k R~) for n >= 1."""
+        column = (-1,) + (1,) * (R.ndim - 1)  # node values broadcast along R's rows
+        tinv, c = (1.0 / self.tau_nodes).reshape(column), self.c_diag.reshape(column)
+        Rt, rat, Lf = R * tinv, self.rational, self._operator_factor()
+        A = np.zeros_like(Rt)
+        for r, p in zip(rat.residues, rat.poles):
+            A += r * SparseCholesky(self._shifted(p), analysis=Lf.analysis).solve(Rt)
         n = int(math.floor(self.alpha))
-        Lf = self._operator_factor()
-        c = self.c_diag
-
-        def lam_inv_pow(X, npow):
-            for _ in range(npow):
-                X = Lf.solve(c[:, None] * X if X.ndim == 2 else c * X)
-            return X
-
-        if self.rational is None:
-            X = lam_inv_pow(Lf.solve(Rt), int(self.alpha) - 1)
-        else:
-            acc = np.zeros_like(Rt)
-            for r, p in zip(self.rational.residues, self.rational.poles):
-                F = SparseCholesky(_sym(self._shifted(p)), analysis=Lf.analysis)
-                acc += r * F.solve(Rt)
-            X = lam_inv_pow(acc, n)
-            k = self.rational.k
-            if n == 0:
-                X = X + k / c[:, None] * Rt if Rt.ndim == 2 else X + k / c * Rt
-            else:
-                X = X + k * lam_inv_pow(Lf.solve(Rt), n - 1)
-        out = X * tinv[:, None] if X.ndim == 2 else X * tinv
-        if out.ndim == 2 and out.shape[0] == out.shape[1]:
-            out = 0.5 * (out + out.T)
-        return out
+        if n == 0:
+            return (A + rat.k / c * Rt) * tinv
+        X = Lf.solve(c * A + rat.k * Rt)
+        for _ in range(n - 1):
+            X = Lf.solve(c * X)
+        return X * tinv
 
     def covariance_from_blocks(self) -> np.ndarray:
         """Dense T^{-1} (sum_i Q_i^{-1}) T^{-1}; the independent second route."""
@@ -326,11 +321,7 @@ class FieldModel:
         psi = np.zeros(self.N)
         for node, w in self.mesh.eval_basis(s0):
             psi[node] = w
-        psi /= self.tau_nodes
-        out = np.zeros(self.N)
-        for F in self.block_factors():
-            out += F.solve(psi)
-        return out / self.tau_nodes
+        return self._covariance_rhs(psi)
 
     def marginal_variance(self) -> np.ndarray:
         """diag(Sigma_u) = sum_i diag(Q_i^{-1}) / tau^2, the tau-free sum from
@@ -396,11 +387,14 @@ def _sym(M) -> csr_matrix:
     exactly symmetric M in canonical form with no stored zeros is returned
     as it is, which is what (M + M^T) / 2 would give entry for entry."""
     M = M if isinstance(M, csr_matrix) else csr_matrix(M)
+    if M.has_canonical_format and M.data.all():
+        # M^T's entries in its storage order are M's sorted by (column, row)
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        order = np.lexsort((rows, M.indices))
+        if (np.array_equal(M.indices[order], rows) and np.array_equal(rows[order], M.indices)
+                and np.array_equal(M.data[order], M.data)):
+            return M
     T = M.T.tocsr()  # sorted indices
-    if (M.has_canonical_format and np.array_equal(M.indptr, T.indptr)
-            and np.array_equal(M.indices, T.indices) and np.array_equal(M.data, T.data)
-            and M.data.all()):
-        return M
     data = _sorted_data(M, T)
     if data is None:
         M = M.copy()  # abs(M) sums and sorts M's entries in place

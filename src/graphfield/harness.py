@@ -34,6 +34,10 @@ THEORETICAL_RATE = lambda alpha: min(2 * alpha - 0.5, 2.0)  # noqa: E731
 # slope; 1.5 puts it safely below the FEM error.
 DEFAULT_CALIBRATION_C = 1.5
 
+# A rate fit is a least-squares line through one (log h, log error) point per
+# mesh level; with fewer points its residual would say little about the fit.
+MIN_RATE_LEVELS = 4
+
 
 class OracleTruncationError(RuntimeError):
     pass
@@ -135,6 +139,8 @@ def rate_experiment(kind: str, alphas, levels=(4.5, 4.75, 5.0, 5.25, 5.5),
     Returns (fits, records): one RateFit per alpha (slope of log L2 error
     vs log realized h) and the per-level ErrorRecord list.
     """
+    if len(levels) < MIN_RATE_LEVELS:
+        raise ValueError(f"rate fit needs at least {MIN_RATE_LEVELS} mesh levels")
     records: list[ErrorRecord] = []
     fits: list[RateFit] = []
     name = kind.partition(":")[0]
@@ -149,8 +155,6 @@ def rate_experiment(kind: str, alphas, levels=(4.5, 4.75, 5.0, 5.25, 5.5),
             recs.append(ErrorRecord(name, alpha, rho, model.m, mesh.h, l2, sup, secs))
         hs = np.array([r.h for r in recs])
         errs = np.array([r.l2 for r in recs])
-        if len(hs) < 4:
-            raise ValueError("rate fit needs at least 4 mesh levels")
         coef, res = np.polyfit(np.log(hs), np.log(errs), 1, full=True)[:2]
         fits.append(RateFit(name, alpha, float(coef[0]), float(coef[1]),
                             float(res[0]) if len(res) else 0.0,

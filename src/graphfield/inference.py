@@ -118,8 +118,8 @@ class ObservationSet:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.sigma_e <= 0:
-            raise InferenceError("sigma_e must be positive")
+        if not 0 < self.sigma_e < math.inf:
+            raise InferenceError(f"sigma_e must be positive and finite, got {self.sigma_e!r}")
         n = len(self.points)
         if self.values.shape[0] != n:
             raise InferenceError("values do not match the number of locations")
@@ -356,25 +356,61 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict, covariates=None):
-        def value(v):
-            return None if v == "estimate" else (None if v is None else float(v))
+        """The spec of a model-spec JSON object.  An unknown key, a value that
+        is neither a finite number nor "estimate", a null tau without
+        variance_stationary, or more slopes than covariates is an
+        InferenceError naming the key."""
+        covariates = list(covariates or [])
 
-        def logreg(sub):
-            if sub is None:
+        def keys(obj, allowed, where):
+            if not isinstance(obj, dict):
+                raise InferenceError(f"model spec: {where} must be a JSON object, got {obj!r}")
+            for key in obj:
+                if key not in allowed:
+                    raise InferenceError(f"model spec: unknown key {key!r} in {where}")
+
+        def value(v, key, null_ok=True):
+            if v == "estimate" or (v is None and null_ok):
                 return None
-            return LogRegression(value(sub.get("intercept", "estimate")),
-                                 [value(s) for s in sub.get("slopes", [])])
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise InferenceError(f'model spec: {key} must be a finite number or '
+                                     f'"estimate", got {v!r}')
+            return float(v)
 
-        alpha = d.get("alpha", "estimate")
-        sigma_e = d.get("sigma_e", "estimate")
+        def logreg(key):
+            sub = d.get(key, {})
+            if sub is None and key == "tau":
+                return None
+            keys(sub, ("intercept", "slopes"), key)
+            slopes = sub.get("slopes", [])
+            if not isinstance(slopes, list):
+                raise InferenceError(f"model spec: {key}.slopes must be a list, got {slopes!r}")
+            if len(slopes) > len(covariates):
+                raise InferenceError(f"model spec: {key}.slopes has {len(slopes)} entries "
+                                     f"for {len(covariates)} covariates")
+            return LogRegression(value(sub.get("intercept", "estimate"), f"{key}.intercept"),
+                                 [value(s, f"{key}.slopes[{j}]") for j, s in enumerate(slopes)])
+
+        keys(d, ("alpha", "kappa", "tau", "sigma_e", "covariates", "variance_stationary",
+                 "sigma0"), "the spec")
+        alpha = value(d.get("alpha", "estimate"), "alpha", null_ok=False)
+        sigma_e = value(d.get("sigma_e", "estimate"), "sigma_e", null_ok=False)
+        variance_stationary = d.get("variance_stationary", False)
+        if not isinstance(variance_stationary, bool):
+            raise InferenceError("model spec: variance_stationary must be true or false, "
+                                 f"got {variance_stationary!r}")
+        kappa, tau = logreg("kappa"), logreg("tau")
+        if tau is None and not variance_stationary:
+            raise InferenceError('model spec: tau is null, which needs '
+                                 '"variance_stationary": true')
         return cls(
-            alpha="estimate" if alpha == "estimate" else float(alpha),
-            kappa=logreg(d.get("kappa", {})),
-            tau=logreg(d.get("tau", {})),
-            sigma_e="estimate" if sigma_e == "estimate" else float(sigma_e),
-            covariates=list(covariates or []),
-            variance_stationary=bool(d.get("variance_stationary", False)),
-            sigma0=value(d.get("sigma0")) if "sigma0" in d else 1.0,
+            alpha="estimate" if alpha is None else alpha,
+            kappa=kappa,
+            tau=tau,
+            sigma_e="estimate" if sigma_e is None else sigma_e,
+            covariates=covariates,
+            variance_stationary=variance_stationary,
+            sigma0=value(d.get("sigma0"), "sigma0") if "sigma0" in d else 1.0,
         )
 
 

@@ -332,11 +332,34 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
      "cv radius must be a number >= 0, got -1.0"),
     (["cv", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "0.1", "--radii", "0,abc"],
      "--radii must be float values separated by ',', got '0,abc'"),
+    (["krige", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "nan"],
+     "sigma_e must be positive and finite, got nan"),
+    (["cv", "interval:1", "OBS", "--alpha", "1.0", "--sigma-e", "inf", "--radii", "0"],
+     "sigma_e must be positive and finite, got inf"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": "abc"}'],
+     'alpha must be a finite number or "estimate", got \'abc\''),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "tau": null}'],
+     'tau is null, which needs "variance_stationary": true'),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "kappa": {"slopes": [null]}}'],
+     "kappa.slopes has 1 entries for 0 covariates"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "kapa": {}}'],
+     "unknown key 'kapa' in the spec"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "tau": {"slope": []}}'],
+     "unknown key 'slope' in tau"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC[1.0]'],
+     "model spec: the spec must be a JSON object, got [1.0]"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "kappa": null}'],
+     "model spec: kappa must be a JSON object, got None"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     obs = tmp_path / "obs.csv"
     obs.write_text("0,0.5,1.0\n")
-    argv = [str(obs) if a == "OBS" else a for a in argv]
+    spec = tmp_path / "spec.json"
+    for a in argv:
+        if a.startswith("SPEC"):
+            spec.write_text(a[len("SPEC"):])
+    argv = [str(obs) if a == "OBS" else str(spec) if a.startswith("SPEC") else a
+            for a in argv]
     if argv[0] != "rational":
         argv += ["--h", "0.1", "--out", str(tmp_path / "out.csv")]
     assert run(argv) == 2
@@ -352,6 +375,9 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
     (["convergence", "--levels", "4:x:5"], "--levels must be float values separated by ':'"),
     (["convergence", "--levels", "4:5"], "--levels must be lo:step:hi (step > 0)"),
     (["convergence", "--levels", "4:0:5"], "--levels must be lo:step:hi (step > 0)"),
+    (["convergence", "--levels", "4,5"], "--levels must give at least 4 mesh levels for the "
+                                         "rate fit, got 2 from '4,5'"),
+    (["convergence", "--levels", "5:0.25:4"], "got 0 from '5:0.25:4'"),
 ])
 def test_malformed_number_lists_reported_without_traceback(tmp_path, capsys, argv, message):
     argv = argv[:1] + ["--graph", "interval:1", "--out", str(tmp_path / "out.csv")] + argv[1:]

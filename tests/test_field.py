@@ -11,7 +11,7 @@ from graphfield.cholesky import SparseCholesky, same_pattern
 from graphfield.exprs import CoefficientExpression
 from graphfield.field import (FieldModel, FieldError, _sym, log_regression_coefficients,
                               variance_stationary_model)
-from graphfield.fractional import ORDER_CAP
+from graphfield.fractional import ORDER_CAP, PartialFractions
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
 from graphfield.inference import ObservationSet, log_likelihood
 from graphfield.mesh import build_mesh
@@ -27,6 +27,9 @@ def interval_mesh_65():
 
 def test_integer_alpha_two_single_block(interval_mesh_65):
     model = FieldModel.build(interval_mesh_65, 2.0, 2.0, 1.0)
+    # x^0 = 1 exactly: no terms and k = 1
+    assert model.rational == PartialFractions((), (), 1.0, 0.0, 1.0)
+    assert model.m == 0 and model.n_blocks == 1
     blocks = model.precision_blocks()
     assert len(blocks) == 1
     L = model.L.toarray()

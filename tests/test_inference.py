@@ -37,8 +37,9 @@ def random_obs(model, n, seed, sigma=0.3, replicates=None):
 
 
 def test_gmrf_equals_covariance_form(tadpole_model):
-    for seed in range(5):
-        obs = random_obs(tadpole_model, 10, seed)
+    # n = N makes the covariance columns Sigma A' square
+    for n, seed in [(10, 0), (10, 1), (10, 2), (10, 3), (10, 4), (tadpole_model.N, 5)]:
+        obs = random_obs(tadpole_model, n, seed)
         a = kriging(tadpole_model, obs).mean
         b = kriging_covariance_form(tadpole_model, obs).mean
         assert np.abs(a - b).max() < 1e-8
@@ -281,8 +282,9 @@ def test_nls_proper_scoring(tadpole_model):
 
 
 def test_observation_validation():
-    with pytest.raises(InferenceError):
-        ObservationSet([GraphPoint(0, 0.1)], np.array([1.0]), 0.0)
+    for sigma_e in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InferenceError, match=f"positive and finite, got {sigma_e}"):
+            ObservationSet([GraphPoint(0, 0.1)], np.array([1.0]), sigma_e)
     with pytest.raises(InferenceError):
         ObservationSet([GraphPoint(0, 0.1)], np.array([1.0, 2.0]), 0.1)
 
@@ -567,3 +569,38 @@ def test_stacked_posterior_matches_dense_on_random_graphs(mesh, case, seed, repl
     node_order = Analysis(nodes)
     assert np.array_equal(stacked.perm[::K], node_order.perm)
     assert stacked.bw <= K * (node_order.bw + 1) - 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(mesh=random_meshes(), alpha=st.sampled_from([0.75, 1.0, 1.4, 2.0]),
+       seed=st.integers(0, 2**32 - 1), every_node=st.booleans())
+def test_covariance_route_matches_dense_on_random_graphs(mesh, alpha, seed, every_node):
+    """On random graphs with non-constant kappa and tau, the covariance
+    applies match the dense covariance(): columns for a square non-identity
+    right-hand side, the row at a node, and leave-radius-out CV against the
+    dense kept-set solve, also with exactly N observations (so that the
+    columns Sigma A' are square)."""
+    rng = np.random.default_rng(seed)
+    N, graph = mesh.N, mesh.graph
+    wave = np.sin(np.arange(N) * rng.uniform(0.1, 1.0))
+    model = FieldModel.build(mesh, alpha, 2.0 * np.exp(0.3 * wave), np.exp(0.2 * wave))
+    S = model.covariance()
+    R = rng.standard_normal((N, N))
+    want = S @ R
+    assert np.abs(model.covariance_columns(R) - want).max() <= 1e-12 * np.abs(want).max()
+    node = int(rng.integers(N))
+    row = model.covariance_row(mesh.node_points()[node])
+    assert np.abs(row - S[:, node]).max() <= 1e-12 * np.abs(S[:, node]).max()
+
+    n = N if every_node else 15
+    edges = rng.integers(graph.n_edges, size=n)
+    points = [GraphPoint(int(e), graph.edges[e].length * t)
+              for e, t in zip(edges, rng.uniform(0.0, 1.0, n))]
+    obs = ObservationSet(points, rng.standard_normal(n), float(rng.uniform(0.1, 1.0)))
+    radii = (0.0,) if every_node else (0.0, 0.5)
+    for got, want in zip(leave_radius_out_cv(model, obs, radii),
+                         _cv_by_kept_set(model, obs, radii)):
+        assert got.n_used == want[2]
+        if want[2]:
+            assert got.mse == pytest.approx(want[0], rel=1e-10)
+            assert got.nls == pytest.approx(want[1], rel=1e-10)
