@@ -160,12 +160,17 @@ class SparseCholesky:
     def solve(self, b):
         """A^{-1} b for a vector or a dense matrix of right-hand sides."""
         b = np.asarray(b, dtype=float)
+        if not b.size:  # LAPACK is not called with zero columns
+            return b.copy()
         x, _ = dpbtrs(self._G, b[self.perm], lower=1)
         return self._unpermute(x)
 
     def sample_backsolve(self, z):
         """x = P^T G^{-T} z, so that Cov(x) = A^{-1} for z ~ N(0, I)."""
-        x, _ = dtbtrs(self._G, np.asarray(z, dtype=float), uplo="L", trans="T")
+        z = np.asarray(z, dtype=float)
+        if not z.size:  # dtbtrs corrupts the heap when given zero columns
+            return z.copy()
+        x, _ = dtbtrs(self._G, z, uplo="L", trans="T")
         return self._unpermute(x)
 
     def logdet(self) -> float:

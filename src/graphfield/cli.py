@@ -310,8 +310,8 @@ def cmd_errorgrid(args):
 def _spec_from_file(path, mesh):
     with open(path) as f:
         d = json.load(f)
-    cov_exprs = d.get("covariates", []) if isinstance(d, dict) else []
-    covs = [CoefficientExpression(c).node_values(mesh) for c in cov_exprs]
+    covs = [CoefficientExpression(c).node_values(mesh)
+            for c in ModelSpec.covariate_expressions(d)]
     return ModelSpec.from_dict(d, covariates=covs)
 
 

@@ -27,6 +27,9 @@ Every matrix on the operator's pattern (L, L - p_i C, the blocks for
 alpha <= 1 and the tail block L / k for 1 <= alpha < 2) shares the mesh's
 symbolic analysis of that pattern; blocks of one model that share another
 pattern (the product blocks) share the analysis of the first of them.
+The blocks on L's pattern are symmetric as assembled.  Only the product
+blocks, (L - p_i C) S^n and the tail L S for n = 2, are symmetrized, by
+(M + M^T) / 2, since a sparse product is symmetric only to rounding.
 """
 
 from __future__ import annotations
@@ -85,11 +88,8 @@ class FieldModel:
         """Construct a model; m defaults to the order calibrated from the mesh
         width (integer alpha takes the exact form of x^0, with m = 0).  An
         explicit m above ORDER_CAP is rejected."""
-        if alpha <= 0.5:
-            raise FieldError("smoothness alpha must exceed 1/2")
-        if alpha > 3.0:
-            logger.warning("alpha=%g beyond the supported range (floor(alpha) <= 2)", alpha)
-            raise FieldError("alpha > 3 not supported")
+        if not 0.5 < alpha <= 3.0:  # NaN fails too
+            raise FieldError(f"smoothness alpha must exceed 1/2 and be at most 3, got {alpha!r}")
         kappa_nodes = positive_coefficient(mesh, kappa, "kappa")
         tau_nodes = positive_coefficient(mesh, tau, "tau")
         L, c_diag = operator_matrix(mesh, kappa_nodes)
@@ -98,7 +98,10 @@ class FieldModel:
             alpha, rational = round(alpha), PartialFractions((), (), 1.0, 0.0, 1.0)
         else:
             if m is None:
-                m = calibrate_order(alpha, mesh.h, calibration_c)
+                try:
+                    m = calibrate_order(alpha, mesh.h, calibration_c)
+                except ValueError as err:  # a mesh width outside (0, 1)
+                    raise FieldError(f"{err}; give m") from None
             if m < 1:
                 raise FieldError("fractional alpha requires rational order m >= 1")
             if m > ORDER_CAP:
@@ -144,12 +147,12 @@ class FieldModel:
         if self._core.blocks:
             return self._core.blocks
         n, rat, power = int(math.floor(self.alpha)), self.rational, self._powers()
-        blocks = [_sym(_times(self._shifted(p), power[n])) / r
+        blocks = [(_sym(self._shifted(p) @ power[n]) if n else self._shifted(p)) / r
                   for r, p in zip(rat.residues, rat.poles)]
         tail = diags(self.c_diag, format="csr") if n == 0 else _times(self.L, power[n - 1])
         # tail / k would copy the matrix twice (astype, then the scalar product)
-        blocks.append(_sym(csr_matrix((tail.data * (1 / rat.k), tail.indices, tail.indptr),
-                                      shape=tail.shape)))
+        tail = csr_matrix((tail.data * (1 / rat.k), tail.indices, tail.indptr), shape=tail.shape)
+        blocks.append(_sym(tail) if n == 2 else tail)
         self._core.blocks = blocks
         return blocks
 
@@ -348,6 +351,8 @@ class FieldModel:
         Deterministic per (seed, block index) via counter-based Philox streams,
         independent of evaluation order.
         """
+        if n_samples < 1:
+            raise FieldError(f"the number of samples must be at least 1, got {n_samples}")
         out = np.zeros((self.N, n_samples))
         for i, F in enumerate(self.block_factors()):
             rng = np.random.Generator(
@@ -383,52 +388,9 @@ def _inner(W, M) -> float:
 
 
 def _sym(M) -> csr_matrix:
-    """(M + M^T) / 2 after checking that M is symmetric to 1e-8 relative; an
-    exactly symmetric M in canonical form with no stored zeros is returned
-    as it is, which is what (M + M^T) / 2 would give entry for entry."""
-    M = M if isinstance(M, csr_matrix) else csr_matrix(M)
-    if M.has_canonical_format and M.data.all():
-        # M^T's entries in its storage order are M's sorted by (column, row)
-        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-        order = np.lexsort((rows, M.indices))
-        if (np.array_equal(M.indices[order], rows) and np.array_equal(rows[order], M.indices)
-                and np.array_equal(M.data[order], M.data)):
-            return M
-    T = M.T.tocsr()  # sorted indices
-    data = _sorted_data(M, T)
-    if data is None:
-        M = M.copy()  # abs(M) sums and sorts M's entries in place
-        asym = abs(M - M.T)
-        scale = max(abs(M).max(), 1.0)
-        if asym.nnz and asym.max() > 1e-8 * scale:
-            raise FieldError(f"assembled block asymmetric beyond tolerance ({asym.max():.2e})")
-        return ((M + M.T) * 0.5).tocsr()
-    # M and M^T share a pattern: add their data arrays in sorted order and
-    # drop the exact zeros, which gives the sparse route's arrays bit for bit
-    # (its abs(M) sorts M in place, so M + M.T is a canonical sum)
-    asym = np.abs(data - T.data).max(initial=0.0)
-    if asym > 1e-8 * max(np.abs(data).max(initial=0.0), 1.0):
-        raise FieldError(f"assembled block asymmetric beyond tolerance ({asym:.2e})")
-    indptr, indices, total = T.indptr, T.indices, data + T.data
-    keep = total != 0
-    if not keep.all():
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr].astype(indptr.dtype)
-        indices, total = indices[keep], total[keep]
-    return csr_matrix((total * 0.5, indices, indptr), shape=M.shape)
-
-
-def _sorted_data(M, T):
-    """M's values in the storage order of T = M^T (CSR, sorted indices) when
-    M holds no duplicate entries and has T's pattern; else None."""
-    if not np.array_equal(M.indptr, T.indptr):
-        return None
-    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    key = rows * M.shape[1] + M.indices
-    order = None if np.all(key[1:] > key[:-1]) else np.argsort(key, kind="stable")
-    if order is not None and not np.all(np.diff(key[order]) > 0):
-        return None  # duplicate entries
-    indices, data = (M.indices, M.data) if order is None else (M.indices[order], M.data[order])
-    return data if np.array_equal(indices, T.indices) else None
+    """(M + M^T) / 2 for a product M, whose indices are sorted in place first."""
+    M.sort_indices()
+    return (M + M.T) * 0.5
 
 
 # -- derived model builders ---------------------------------------------------------

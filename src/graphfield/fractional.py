@@ -368,7 +368,7 @@ def calibrate_order(alpha: float, h: float, c: float = 1.0) -> int:
     if frac == 0.0:
         return 0
     if not (0.0 < h < 1.0):
-        raise ValueError("order calibration assumes a mesh width h in (0, 1)")
+        raise ValueError(f"order calibration assumes a mesh width h in (0, 1), got {h:g}")
     rate = min(2 * alpha - 0.5, 2.0)
     x = (rate + 0.5) ** 2 * math.log(h) ** 2 / (4 * math.pi**2 * frac)
     return min(ORDER_CAP, max(1, int(math.ceil(c * math.ceil(x - 1e-12)))))

@@ -357,9 +357,10 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict, covariates=None):
         """The spec of a model-spec JSON object.  An unknown key, a value that
-        is neither a finite number nor "estimate", a null tau without
-        variance_stationary, or more slopes than covariates is an
-        InferenceError naming the key."""
+        is neither a finite number nor "estimate", a fixed alpha outside
+        (1/2, 3] or a fixed sigma_e or sigma0 <= 0, covariates that are not a
+        list of strings, a null tau without variance_stationary, or more
+        slopes than covariates is an InferenceError naming the key."""
         covariates = list(covariates or [])
 
         def keys(obj, allowed, where):
@@ -369,12 +370,16 @@ class ModelSpec:
                 if key not in allowed:
                     raise InferenceError(f"model spec: unknown key {key!r} in {where}")
 
-        def value(v, key, null_ok=True):
+        def value(v, key, null_ok=True, above=-math.inf, at_most=math.inf):
             if v == "estimate" or (v is None and null_ok):
                 return None
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise InferenceError(f'model spec: {key} must be a finite number or '
                                      f'"estimate", got {v!r}')
+            if not above < v <= at_most:
+                bounds = f"exceed {above:g}" + (f" and be at most {at_most:g}"
+                                                 if at_most < math.inf else "")
+                raise InferenceError(f"model spec: a fixed {key} must {bounds}, got {v!r}")
             return float(v)
 
         def logreg(key):
@@ -393,8 +398,10 @@ class ModelSpec:
 
         keys(d, ("alpha", "kappa", "tau", "sigma_e", "covariates", "variance_stationary",
                  "sigma0"), "the spec")
-        alpha = value(d.get("alpha", "estimate"), "alpha", null_ok=False)
-        sigma_e = value(d.get("sigma_e", "estimate"), "sigma_e", null_ok=False)
+        cls.covariate_expressions(d)
+        alpha = value(d.get("alpha", "estimate"), "alpha", null_ok=False, above=0.5,
+                      at_most=3.0)
+        sigma_e = value(d.get("sigma_e", "estimate"), "sigma_e", null_ok=False, above=0.0)
         variance_stationary = d.get("variance_stationary", False)
         if not isinstance(variance_stationary, bool):
             raise InferenceError("model spec: variance_stationary must be true or false, "
@@ -410,8 +417,18 @@ class ModelSpec:
             sigma_e="estimate" if sigma_e is None else sigma_e,
             covariates=covariates,
             variance_stationary=variance_stationary,
-            sigma0=value(d.get("sigma0"), "sigma0") if "sigma0" in d else 1.0,
+            sigma0=value(d.get("sigma0"), "sigma0", above=0.0) if "sigma0" in d else 1.0,
         )
+
+    @staticmethod
+    def covariate_expressions(d) -> list:
+        """The "covariates" entry of a model-spec JSON object, a list of
+        expression strings ([] when absent, or when d is not an object)."""
+        exprs = d.get("covariates", []) if isinstance(d, dict) else []
+        if not isinstance(exprs, list) or not all(isinstance(e, str) for e in exprs):
+            raise InferenceError("model spec: covariates must be a list of expression "
+                                 f"strings, got {exprs!r}")
+        return exprs
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import GraphPoint, MetricGraph
+from .graph import GraphError, GraphPoint, MetricGraph
 
 # points closer than this (relative to a segment) to a mesh node snap to it;
 # hat "tips" are not differentiable, so boundary points resolve to the node
@@ -43,7 +43,7 @@ class Mesh:
 
     def __init__(self, graph: MetricGraph, target_h: float):
         if not (target_h > 0):
-            raise ValueError("target_h must be positive")
+            raise GraphError(f"mesh width h must be positive, got {target_h!r}")
         self.graph = graph
         self.target_h = float(target_h)
         self.edge_meshes: list[EdgeMesh] = []

@@ -9,6 +9,7 @@ from graphfield.exprs import CoefficientExpression, ExpressionError
 from graphfield.graph import interval_graph
 from graphfield.mesh import build_mesh
 
+from child import run_cli, run_python
 
 
 
@@ -350,8 +351,35 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
      "model spec: the spec must be a JSON object, got [1.0]"),
     (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 1.0, "kappa": null}'],
      "model spec: kappa must be a JSON object, got None"),
+    (["fit", "interval:1", "OBS", "--model",
+      'SPEC{"covariates": "xy", "kappa": {"slopes": [null, null]}}'],
+     "model spec: covariates must be a list of expression strings, got 'xy'"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"covariates": ["x", 1]}'],
+     "model spec: covariates must be a list of expression strings, got ['x', 1]"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"sigma_e": -0.3}'],
+     "model spec: a fixed sigma_e must exceed 0, got -0.3"),
+    (["fit", "interval:1", "OBS", "--model",
+      'SPEC{"sigma0": 0, "variance_stationary": true, "tau": null}'],
+     "model spec: a fixed sigma0 must exceed 0, got 0"),
+    (["fit", "interval:1", "OBS", "--model", 'SPEC{"alpha": 7}'],
+     "model spec: a fixed alpha must exceed 0.5 and be at most 3, got 7"),
+    (["simulate", "tadpole", "--alpha", "0.9", "--h", "0"],
+     "mesh width h must be positive, got 0.0"),
+    (["simulate", "tadpole", "--alpha", "0.9", "--h", "nan"],
+     "mesh width h must be positive, got nan"),
+    (["mesh", "tadpole", "--h", "-1"], "mesh width h must be positive, got -1.0"),
+    (["simulate", "tadpole", "--alpha", "0.9", "--h", "100"],
+     "order calibration assumes a mesh width h in (0, 1), got 1; give m"),
+    (["simulate", "interval:1", "--alpha", "nan"],
+     "alpha must exceed 1/2 and be at most 3, got nan"),
+    (["simulate", "interval:1", "--alpha", "7"],
+     "alpha must exceed 1/2 and be at most 3, got 7.0"),
+    (["simulate", "interval:1", "--alpha", "0.9", "--n", "-1"],
+     "the number of samples must be at least 1, got -1"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
+    """One error line and exit 2; --h 0.1 and --out are added where the
+    command takes them and argv gives none."""
     obs = tmp_path / "obs.csv"
     obs.write_text("0,0.5,1.0\n")
     spec = tmp_path / "spec.json"
@@ -360,11 +388,41 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
             spec.write_text(a[len("SPEC"):])
     argv = [str(obs) if a == "OBS" else str(spec) if a.startswith("SPEC") else a
             for a in argv]
-    if argv[0] != "rational":
-        argv += ["--h", "0.1", "--out", str(tmp_path / "out.csv")]
+    if argv[0] != "rational" and "--h" not in argv:
+        argv += ["--h", "0.1"]
+    if argv[0] not in ("rational", "mesh"):
+        argv += ["--out", str(tmp_path / "out.csv")]
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_zero_samples_rejected_without_a_crash(tmp_path):
+    """Zero columns once reached LAPACK's dtbtrs, which corrupted the heap and
+    aborted the process; solves and draws of zero columns now return empty
+    arrays, and sample(0, s) and `simulate --n 0` are input errors.  Both run
+    in a child process, so that a crash fails this test only."""
+    code = ("import numpy as np\n"
+            "from graphfield.field import FieldError, FieldModel\n"
+            "from graphfield.graph import tadpole_graph\n"
+            "from graphfield.mesh import build_mesh\n"
+            "model = FieldModel.build(build_mesh(tadpole_graph(), 0.05), 0.9, 2.0, 1.0)\n"
+            "F = model.block_factors()[0]\n"
+            "empty = np.zeros((model.N, 0))\n"
+            "assert F.solve(empty).shape == F.sample_backsolve(empty).shape == empty.shape\n"
+            "try:\n"
+            "    model.sample(0, 3)\n"
+            "except FieldError as err:\n"
+            "    print(err)\n")
+    child = run_python(code)
+    assert (child.signal, child.exit_code) == (None, 0), child
+    assert child.stdout == "the number of samples must be at least 1, got 0\n"
+    argv = ["simulate", "tadpole", "--h", "0.05", "--alpha", "0.9", "--n", "0",
+            "--out", tmp_path / "s.csv"]
+    child = run_cli(argv)
+    assert (child.signal, child.exit_code) == (None, 2), child
+    assert child.stderr == "error: the number of samples must be at least 1, got 0\n"
+    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -402,14 +460,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     where they are used), and every module they add to what numpy and scipy
     load themselves is stdlib, numpy, scipy or graphfield: no runtime
     dependency beyond numpy and scipy."""
-    import json
-    import os
-    import subprocess
     import sys
 
-    import graphfield
-
-    src = os.path.dirname(os.path.dirname(graphfield.__file__))
     code = ("import json, sys\n"
             "import numpy, scipy.linalg.lapack, scipy.sparse.csgraph\n"
             "deps = set(sys.modules)\n"
@@ -422,9 +474,8 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
             "                                 if m.startswith(('scipy.special', 'scipy.optimize'))),\n"
             "                  'added': sorted({m.partition('.')[0]\n"
             "                                   for m in set(sys.modules) - deps})}))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+    out = run_python(code)
+    assert out.exit_code == 0, out.stderr
     loaded = json.loads(out.stdout)
     assert loaded["slow"] == []
     allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "graphfield"}

@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from graphfield.assembly import lump_mass, assemble_mass
 from graphfield.cholesky import SparseCholesky, same_pattern
 from graphfield.exprs import CoefficientExpression
-from graphfield.field import (FieldModel, FieldError, _sym, log_regression_coefficients,
+from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
                               variance_stationary_model)
 from graphfield.fractional import ORDER_CAP, PartialFractions
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
@@ -17,6 +17,7 @@ from graphfield.inference import ObservationSet, log_likelihood
 from graphfield.mesh import build_mesh
 from graphfield.oracle import spectral_discrete_cov
 
+from child import run_python
 from strategies import random_meshes
 
 
@@ -369,6 +370,48 @@ def test_first_order_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
     assert_same_csr(blocks[-1], reference_sym(Cd / model.rational.k))
 
 
+@settings(max_examples=10, deadline=None)
+@given(mesh=random_meshes(), k0=st.floats(0.5, 5.0), alpha=st.sampled_from([1.4, 2.5]))
+def test_product_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
+    """The raw products (L - p_i C) S^n, and L S for n = 2, are symmetric to
+    1e-13 relative, as L is for any kappa; the blocks are their sparse
+    (M + M^T) / 2 with sorted indices, over r_i.  The tail is L / k for
+    n = 1, and for n = 2 it is L S scaled by 1 / k, then symmetrized."""
+    kappa = k0 * np.exp(0.2 * np.cos(np.arange(mesh.N)))
+    model = FieldModel.build(mesh, alpha, kappa, 1.0, m=3)
+    n, rat, L = int(alpha), model.rational, model.L
+    S = diags(1.0 / model.c_diag) @ L
+    Sn = S if n == 1 else S @ S
+    blocks = model.precision_blocks()
+
+    def symmetric(P):
+        assert abs(P - P.T).max() <= 1e-13 * abs(P).max()
+        return P
+
+    for Q, r, p in zip(blocks, rat.residues, rat.poles):
+        product = symmetric((L - p * diags(model.c_diag)).tocsr() @ Sn)
+        assert_same_csr(Q, reference_sym(product.sorted_indices()) / r)
+    if n == 1:
+        assert_same_csr(blocks[-1], L * (1 / rat.k))
+    else:
+        LS = symmetric(L @ S)
+        tail = csr_matrix((LS.data * (1 / rat.k), LS.indices, LS.indptr), shape=LS.shape)
+        assert_same_csr(blocks[-1], reference_sym(tail.sorted_indices()))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mesh=random_meshes(), alpha=st.sampled_from([0.75, 1.0, 1.4, 2.0, 2.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_marginal_variance_matches_dense_covariance_on_random_graphs(mesh, alpha, seed):
+    """marginal_variance (selected inversion of the block factors) against the
+    diagonal of the dense covariance() (the shifted-operator route), with
+    non-constant kappa and tau."""
+    wave = np.sin(np.arange(mesh.N) * np.random.default_rng(seed).uniform(0.1, 1.0))
+    model = FieldModel.build(mesh, alpha, 2.0 * np.exp(0.3 * wave), np.exp(0.2 * wave))
+    want = np.diag(model.covariance())
+    assert np.abs(model.marginal_variance() - want).max() <= 1e-9 * np.abs(want).max()
+
+
 @settings(max_examples=12, deadline=None)
 @given(mesh=random_meshes(), alpha=st.sampled_from([0.75, 1.4, 2.0, 2.5]),
        seed=st.integers(0, 2**32 - 1))
@@ -411,50 +454,6 @@ def test_integer_alpha_one_block_is_the_operator():
     assert_same_csr(Q, reference_sym(model.L))
 
 
-def test_sym_keeps_symmetric_input_and_checks_the_rest():
-    M = csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -0.5], [0.0, -0.5, 1.0]]))
-    assert _sym(M) is M
-    near = M.toarray()
-    near[0, 1] += 1e-12
-    near = csr_matrix(near)
-    assert_same_csr(_sym(near), reference_sym(near))
-    stored_zero = csr_matrix((np.array([1.0, 0.0, 0.0, 1.0]), np.array([0, 1, 0, 1]),
-                              np.array([0, 2, 4])), shape=(2, 2))
-    assert_same_csr(_sym(stored_zero), reference_sym(stored_zero))
-    asym = M.toarray()
-    asym[0, 1] = -0.9
-    with pytest.raises(FieldError, match="asymmetric"):
-        _sym(csr_matrix(asym))
-
-
-def test_sym_of_unsorted_products_matches_the_sparse_sum():
-    """Product blocks come out of scipy's matmul with unsorted indices; the
-    sparse route sorted them (in place, as |M| does) before summing."""
-    mesh = build_mesh(tadpole_graph(), 0.05)
-    model = FieldModel.build(mesh, 1.4, 2.0, 1.0, m=4)
-    S = diags(1.0 / model.c_diag) @ model.L
-    for p in model.rational.poles:
-        Q = (model.L - p * diags(model.c_diag)) @ S
-        assert not Q.has_canonical_format
-        assert_same_csr(_sym(Q.copy()), reference_sym(Q.sorted_indices()))
-    # duplicate entries take the sparse route
-    dup = csr_matrix((np.array([1.0, 0.5, 0.5, 1.0, 2.0]), np.array([0, 1, 1, 0, 1]),
-                      np.array([0, 3, 5])), shape=(2, 2))
-    assert_same_csr(_sym(dup.copy()), reference_sym(dup.copy().tocoo().tocsr()))
-
-
-def test_sym_leaves_its_argument_unchanged():
-    """Duplicate entries take the sparse route, whose |M| sums and sorts its
-    operand in place; the caller's matrix keeps its arrays."""
-    dup = csr_matrix((np.array([0.5, 1.0, 0.5, 2.0, 1.0]), np.array([1, 0, 1, 1, 0]),
-                      np.array([0, 3, 5])), shape=(2, 2))
-    before = [a.copy() for a in (dup.indptr, dup.indices, dup.data)]
-    got = _sym(dup)
-    for a, b in zip((dup.indptr, dup.indices, dup.data), before):
-        assert np.array_equal(a, b)
-    assert_same_csr(got, reference_sym(dup.copy().tocoo().tocsr()))
-
-
 def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
     """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16), and the
     log-likelihood with its gradient, draws, the kriging mean and variance
@@ -463,13 +462,6 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
     a few evaluations) give the same bits whatever the OpenBLAS thread
     count.  The gradient's b-term sums over nnz(Q_i) > 10000 entries, where
     a BLAS dot splits the sum between threads."""
-    import os
-    import subprocess
-    import sys
-
-    import graphfield
-
-    src = os.path.dirname(os.path.dirname(graphfield.__file__))
     code = ("import sys, numpy as np\n"
             "from graphfield.field import FieldModel\n"
             "from graphfield.graph import GraphPoint, tadpole_graph\n"
@@ -500,12 +492,12 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
             "         kriging_mean=post.mean, kriging_variance=post.variance,\n"
             "         fit_params=[result.params[k] for k in sorted(result.params)],\n"
             "         fit_loglik=result.loglik)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     runs = []
     for threads in ("1", "2"):
         path = tmp_path / f"outputs{threads}.npz"
-        subprocess.run([sys.executable, "-c", code, str(path)], check=True,
-                       env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+        child = run_python(code, path, env=dict(OPENBLAS_NUM_THREADS=threads,
+                                                OMP_NUM_THREADS=threads))
+        assert child.exit_code == 0, child.stderr
         runs.append(np.load(path))
     for name in runs[0].files:
         assert np.array_equal(runs[0][name], runs[1][name]), name

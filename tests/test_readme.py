@@ -1,9 +1,7 @@
 import os
 import re
-import subprocess
-import sys
 
-import graphfield
+from child import run_python
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -15,6 +13,5 @@ def test_readme_quick_start_runs():
     with open(os.path.join(ROOT, "README.md")) as f:
         blocks = re.findall(r"```python\n(.*?)```", f.read(), flags=re.S)
     assert len(blocks) == 1
-    src = os.path.dirname(os.path.dirname(graphfield.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", blocks[0]], check=True, env=env, cwd=ROOT)
+    child = run_python(blocks[0], cwd=ROOT)
+    assert child.exit_code == 0, child.stderr
