@@ -241,6 +241,10 @@ def cmd_varstat(args):
 
 def cmd_oracle(args):
     t0 = time.time()
+    for option, low in (("alpha", 0.5), ("kappa", 0.0), ("tau", 0.0)):
+        value = getattr(args, option)
+        if not low < value < math.inf:  # NaN fails too
+            raise CliError(f"--{option} must be finite and exceed {low:g}, got {value!r}")
     g, name, length = oracle_graph(args.graph)
     mesh = build_mesh(g, args.grid_h)
     pts = mesh.node_points()

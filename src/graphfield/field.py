@@ -9,27 +9,28 @@ and x the tau = 1 field, whose covariance is
 
 where {r_i, p_i, k} approximate x^{alpha - n}.  For integer alpha that power
 is x^0 = 1 exactly: no terms and k = 1.  Sigma_u = T^{-1} Sigma_x T^{-1}.
-Equivalently x = sum of m+1 independent GMRFs with tau-free sparse precisions
+Equivalently x = sum_i x_i, m+1 independent GMRFs with tau-free precisions
 
     Q_i = r_i^{-1} (L - p_i C)(C^{-1}L)^{n} = (M_{n+1} - p_i M_n) / r_i   (i = 1..m),
     Q_{m+1} = M_n / k,      M_j = C (C^{-1}L)^j = L (C^{-1}L)^{j-1},
 
-and u's blocks are T Q_i T; for integer alpha the one block is M_alpha.
+and for integer alpha the one block is M_alpha.
 Sampling, the marginal variance, kriging and the likelihood read the blocks.
 Covariance applies (covariance, covariance_columns, covariance_row) read the
 first form instead, through factors of L and of the shifted operators
 L - p_i C, which avoids the products of the blocks.
 
 The blocks, their factors and the diagonal of their summed inverses depend
-on (mesh, kappa, alpha, m) only; tau is applied where they are used, so
-models that differ only in tau share them (see variance_stationary_model).
+on (mesh, kappa, alpha, m) only: tau enters as 1 / tau on draws and standard
+deviations and as the observation operator A T^{-1} in inference, so models
+that differ only in tau share them (see variance_stationary_model).
 Every matrix on the operator's pattern (L, L - p_i C, the blocks for
 alpha <= 1 and the tail block L / k for 1 <= alpha < 2) shares the mesh's
 symbolic analysis of that pattern; blocks of one model that share another
 pattern (the product blocks) share the analysis of the first of them.
 The blocks on L's pattern are symmetric as assembled.  Only the product
-blocks, (L - p_i C) S^n and the tail L S for n = 2, are symmetrized, by
-(M + M^T) / 2, since a sparse product is symmetric only to rounding.
+blocks, (L - p_i C) S^n and the tail L S^{n-1} for n >= 2, are symmetrized,
+by (M + M^T) / 2, since a sparse product is symmetric only to rounding.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ class FieldModel:
         """L - p C on L's pattern."""
         return shift_diagonal(self.mesh, self.L, -p * self.c_diag)
 
-    def _tau_free_blocks(self) -> list[csr_matrix]:
-        """The m shifted blocks and the tail block M_n / k."""
+    def precision_blocks(self) -> list[csr_matrix]:
+        """The tau-free blocks: the m shifted blocks and the tail block M_n / k."""
         if self._core.blocks:
             return self._core.blocks
         n, rat, power = int(math.floor(self.alpha)), self.rational, self._powers()
@@ -152,20 +153,9 @@ class FieldModel:
         tail = diags(self.c_diag, format="csr") if n == 0 else _times(self.L, power[n - 1])
         # tail / k would copy the matrix twice (astype, then the scalar product)
         tail = csr_matrix((tail.data * (1 / rat.k), tail.indices, tail.indptr), shape=tail.shape)
-        blocks.append(_sym(tail) if n == 2 else tail)
+        blocks.append(_sym(tail) if n >= 2 else tail)
         self._core.blocks = blocks
         return blocks
-
-    def precision_blocks(self) -> list[csr_matrix]:
-        """The m+1 sparse SPD precision blocks T Q_i T of the field u, formed
-        by scaling each tau-free block's entries with tau_row * tau_col."""
-        tau = self.tau_nodes
-        out = []
-        for Q in self._tau_free_blocks():
-            rows = np.repeat(np.arange(self.N), np.diff(Q.indptr))
-            out.append(csr_matrix((Q.data * (tau[rows] * tau[Q.indices]), Q.indices,
-                                   Q.indptr), shape=Q.shape))
-        return out
 
     def block_factors(self) -> list[SparseCholesky]:
         """Cholesky factors of the tau-free blocks Q_i.  A block reuses the
@@ -174,7 +164,7 @@ class FieldModel:
         if not self._core.factors:
             factors = []
             analysis = None
-            for i, Q in enumerate(self._tau_free_blocks()):
+            for i, Q in enumerate(self.precision_blocks()):
                 if analysis is None or not analysis.fits(Q):
                     analysis = self._operator_analysis(Q)
                 try:
@@ -186,35 +176,19 @@ class FieldModel:
             self._core.factors = factors
         return self._core.factors
 
-    # -- derivatives with respect to log kappa and log tau --------------------------
-
-    def precision_gradient(self, weights, logdet_scale: float):
-        """Gradient of sum_i <W_i, T Q_i T> - logdet_scale * sum_i log det(T Q_i T),
-        with <W, Q> summed entrywise over block i's pattern and the weights W_i
-        held fixed, with respect to log kappa and log tau at the nodes.
-        weights[i] is aligned with the data of precision_blocks()[i].  The log
-        det term takes tr(Q_i^{-1} dQ_i) from the entries of every Q_i^{-1} on
-        Q_i's pattern, from one selected inversion of all block factors.
-        Returns (d / d log kappa, d / d log tau)."""
-        tau = self.tau_nodes
-        tau_free = []
-        # d log det(T Q_i T) / d log tau = 2 per node and block
-        d_tau = np.full(self.N, -2.0 * self.n_blocks * logdet_scale)
-        blocks, factors = self._tau_free_blocks(), self.block_factors()
-        # blocks of one analysis have its pattern, so they share one request
-        pattern = {}
-        for Q, F in zip(blocks, factors):
+    def block_inverses(self) -> list[np.ndarray]:
+        """The entries of each Q_i^{-1} on Q_i's pattern, aligned with the data
+        of precision_blocks()[i], from one selected inversion of all block
+        factors."""
+        factors = self.block_factors()
+        pattern = {}  # blocks of one analysis have its pattern: one request each
+        for Q, F in zip(self.precision_blocks(), factors):
             if F.analysis not in pattern:
                 pattern[F.analysis] = (np.repeat(np.arange(self.N), np.diff(Q.indptr)),
                                        Q.indices)
-        pairs = [pattern[F.analysis] for F in factors]
-        for Q, (rows, cols), z, w in zip(blocks, pairs, selected_inverses(factors, pairs),
-                                         weights):
-            v = w * (tau[rows] * tau[cols])
-            # d(T Q T) / d log tau_a scales entry (a, b) by [a] + [b]
-            d_tau += 2 * np.bincount(rows, v * Q.data, minlength=self.N)
-            tau_free.append(v - logdet_scale * z)
-        return self._kappa_gradient(tau_free), d_tau
+        return selected_inverses(factors, [pattern[F.analysis] for F in factors])
+
+    # -- derivative with respect to log kappa ---------------------------------------
 
     def _kappa_gradient(self, weights) -> np.ndarray:
         """d/d log kappa of sum_i <V_i, Q_i> for tau-free weights V_i on the
@@ -235,7 +209,7 @@ class FieldModel:
         H and the b-term vanish.
         """
         c, n, rat = self.c_diag, int(math.floor(self.alpha)), self.rational
-        blocks, power = self._tau_free_blocks(), self._powers()
+        blocks, power = self.precision_blocks(), self._powers()
         G = _weighted_sum(blocks, weights,
                           [-p / r for r, p in zip(rat.residues, rat.poles)] + [1.0 / rat.k])
         # M_1, M_2, ... (M_0 = C is read off c)
@@ -404,8 +378,8 @@ def variance_stationary_model(mesh: Mesh, kappa, alpha: float, sigma0: float,
     The blocks do not depend on tau, so the returned model shares the tau=1
     model's blocks, factors and selected-inverse diagonal; its marginal
     variance sigma_kappa^2 / tau^2 equals sigma0^2 up to rounding."""
-    if sigma0 <= 0:
-        raise FieldError("sigma0 must be positive")
+    if not 0 < sigma0 < math.inf:  # NaN fails too
+        raise FieldError(f"sigma0 must be positive and finite, got {sigma0!r}")
     base = FieldModel.build(mesh, alpha, kappa, 1.0, m=m)
     sigma_k = base.marginal_std()
     return replace(base, tau_nodes=positive_coefficient(mesh, sigma_k / sigma0, "tau"))

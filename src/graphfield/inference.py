@@ -2,10 +2,11 @@
 and leave-radius-out cross-validation.
 
 Observations follow y_i | u ~ N(F beta + u(s_i), sigma_e^2) with the field
-expanded as u = sum of m+1 GMRF blocks; stacking X = (x_1, ..., x_{m+1})
-gives the hierarchical form y | X ~ N(F beta + Abar X, sigma_e^2 I),
-X ~ N(0, blockdiag(Q_i)^{-1}), Abar = [A ... A].  The kriging predictor
-solves (Abar' Abar / sigma_e^2 + Q) mu = Abar' y / sigma_e^2; the exact
+u = T^{-1} sum_i x_i, the m+1 GMRF blocks x_i of tau-free precisions Q_i;
+stacking X = (x_1, ..., x_{m+1}) gives y | X ~ N(F beta + Bbar X, sigma_e^2 I),
+X ~ N(0, blockdiag(Q_i)^{-1}), Bbar = [B ... B], and tau enters the posterior
+only through the observation operator B = A T^{-1}.  The kriging predictor
+solves (Bbar' Bbar / sigma_e^2 + Q) mu = Bbar' y / sigma_e^2; the exact
 Gaussian marginal likelihood uses the matrix determinant lemma on the same
 factorization, and its gradient in log kappa, log tau and log sigma_e reads
 the selected inverse of that factorization.  `fit` maximizes it by L-BFGS-B.
@@ -60,10 +61,10 @@ class _ObservationMemo:
 
 
 class _StackedPattern:
-    """Pattern of Qpost = blockdiag(Q_1..Q_K) + J (x) A'A with J the K x K
-    ones, in CSR form with sorted indices, and the slots of the blocks'
-    entries and of the K^2 copies of A'A's entries in its data; plus the
-    symbolic analysis that all its factors share.
+    """Pattern of Qpost = blockdiag(Q_1..Q_K) + J (x) B'B with J the K x K
+    ones (B'B on A'A's pattern), in CSR form with sorted indices, and the
+    slots of the blocks' entries and of the K^2 copies of A'A's entries in
+    its data; plus the symbolic analysis that all its factors share.
 
     The order is node-major: position K p + r holds copy r of node order[p],
     for the RCM order of the node pattern (the stacked pattern with indices
@@ -99,10 +100,10 @@ class _StackedPattern:
         return len(blocks) == self.K and all(
             same_pattern(Q, *pattern) for Q, pattern in zip(blocks, self.patterns))
 
-    def matrix(self, blocks, AtA_scaled) -> csr_matrix:
+    def matrix(self, blocks, BtB_scaled) -> csr_matrix:
         data = np.zeros(self.indices.size)
         data[self.q_slots] = np.concatenate([Q.data for Q in blocks])
-        data[self.b_slots] += np.tile(AtA_scaled, self.K * self.K)
+        data[self.b_slots] += np.tile(BtB_scaled, self.K * self.K)
         return csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
@@ -163,33 +164,45 @@ class PosteriorSummary:
 
 
 def _stacked_system(model: FieldModel, obs: ObservationSet):
-    """(memo, stacked pattern, Qpost): the posterior precision of the stacked
-    blocks, filled into the observation set's fixed pattern."""
+    """(memo, stacked pattern, factor of Qpost, t = 1 / tau, B'B's data on A'A's
+    pattern) for Qpost = blockdiag(Q_i) + J (x) B'B / sigma_e^2, B = A T^{-1},
+    filled into the observation set's fixed pattern."""
     memo = obs._structure(model.mesh)
     blocks = model.precision_blocks()
     st = memo.stacked_for(blocks)
-    return memo, st, st.matrix(blocks, memo.AtA.data * (1 / obs.sigma_e**2))
+    t, AtA = 1.0 / model.tau_nodes, memo.AtA
+    BtB = AtA.data * (t[np.repeat(np.arange(model.N), np.diff(AtA.indptr))] * t[AtA.indices])
+    F = SparseCholesky(st.matrix(blocks, BtB * (1 / obs.sigma_e**2)), analysis=st.analysis)
+    return memo, st, F, t, BtB
+
+
+def _stacked_solve(F, K: int, memo, t, V, s2: float):
+    """For V (n, p): the stacked posterior mean mu = Qpost^{-1} (1 (x) B'V) / s2,
+    the field's mean u = t sum_i mu_i (N, p), and Sigma_y^{-1} V = (V - A u) / s2
+    by the Woodbury identity."""
+    mu = F.solve(np.tile(t[:, None] * (memo.At @ V) / s2, (K, 1)))
+    u = t[:, None] * mu.reshape(K, t.size, -1).sum(axis=0)
+    return mu, u, V / s2 - (memo.A @ u) / s2
 
 
 def kriging(model: FieldModel, obs: ObservationSet,
             compute_variance: bool = False) -> PosteriorSummary:
     """Posterior mean (and optionally marginal variances) of the field weights
-    given the observations."""
-    memo, st, Qpost = _stacked_system(model, obs)
+    given the observations: u = t x for the tau-free field x."""
+    memo, st, F, t, _ = _stacked_system(model, obs)
     N, K = model.N, st.K
-    F = SparseCholesky(Qpost, analysis=st.analysis)
-    rhs = np.tile((memo.At @ obs.matrix) / obs.sigma_e**2, (K, 1))
-    mean = F.solve(rhs).reshape(K, N, -1).sum(axis=0)
+    mean = _stacked_solve(F, K, memo, t, obs.matrix, obs.sigma_e**2)[1]
     if obs.values.ndim == 1:
         mean = mean[:, 0]
     variance = None
     if compute_variance:
-        # Var(u_i) = sum_{r,s} Z_{(r i),(s i)}: the node-major order puts all
+        # Var(u_i) = t_i^2 sum_{r,s} Z_{(r i),(s i)}: the node-major order puts all
         # K^2 of these pairs in the band, so one selected inverse reads them
         i = np.arange(N)
         r, s = np.divmod(np.arange(K * K), K)
-        variance = F.selected_inverse((i + N * r[:, None]).ravel(),
-                                      (i + N * s[:, None]).ravel()).reshape(K * K, N).sum(axis=0)
+        variance = t**2 * F.selected_inverse((i + N * r[:, None]).ravel(),
+                                             (i + N * s[:, None]).ravel()
+                                             ).reshape(K * K, N).sum(axis=0)
     return PosteriorSummary(mean=mean, variance=variance)
 
 
@@ -230,42 +243,32 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     (loglik, beta), or (loglik, beta, LikelihoodGradient) with gradient=True.
 
     The gradient reuses the stacked factor.  With Z = Qpost^{-1}, mu_r the
-    stacked posterior mean of replicate r and e_r = r_r - Abar mu_r,
+    stacked posterior mean of replicate r's residual e_r, u_r = t sum_i mu_ir,
+    rho_r = Sigma_y^{-1} e_r and Zb = sum_{i,k} Z_ik (over block pairs) read on
+    A'A's pattern,
 
-        d(-2 loglik) = R (<Z, dQpost> - sum_i tr(Q_i^{-1} dQ_i))
-                       + sum_r mu_r' dQpost mu_r - 2 sum_r |e_r|^2 dlog sigma_e / sigma_e^2,
+        d(-2 loglik) / dQ_i = R (Z_ii - Q_i^{-1}) + sum_r mu_ir mu_ir',
+        d(-2 loglik) / dlog tau_j = -(2 R / sigma_e^2) rowsum_j(Zb o B'B)
+                                    + 2 sum_r u_jr (A' rho_r)_j,
+        d loglik / dlog sigma_e = R (<Zb, B'B> / sigma_e^2 - n) + sigma_e^2 sum_r |rho_r|^2,
 
-    the last two terms by the envelope theorem on the quadratic form's
+    the quadratic terms by the envelope theorem on the quadratic form's
     minimization over the field (and over beta when it is profiled).  Z is
     read on Qpost's pattern from one selected inversion of the stacked
-    factor, and tr(Q_i^{-1} dQ_i) from one selected inversion of all block
-    factors, read on the Q_i's patterns.
+    factor, and Q_i^{-1} from FieldModel.block_inverses.
     """
-    memo, st, Qpost = _stacked_system(model, obs)
-    A, At, K = memo.A, memo.At, st.K
-    n = obs.n
-    s2 = obs.sigma_e**2
-    Y = obs.matrix
+    memo, st, Fq, t, BtB = _stacked_system(model, obs)
+    K, N, n = st.K, model.N, obs.n
+    s2, Y = obs.sigma_e**2, obs.matrix
     R = Y.shape[1]
-    Fq = SparseCholesky(Qpost, analysis=st.analysis)
-    # log det(T Q_i T) = log det Q_i + 2 sum(log tau) for each of the K blocks
-    logdet_q = sum(f.logdet() for f in model.block_factors()) \
-        + 2 * K * float(np.sum(np.log(model.tau_nodes)))
-    logdet_sy = Fq.logdet() - logdet_q + n * math.log(s2)
-
-    def siginv(V):
-        # Sigma_y^{-1} V via the Woodbury identity on the stacked system, and
-        # the stacked posterior mean Qpost^{-1} Abar' V / s2, for V (n, p)
-        mu = Fq.solve(np.tile((At @ V) / s2, (K, 1)))
-        core = mu.reshape(K, model.N, -1).sum(axis=0)
-        return V / s2 - (A @ core) / s2, mu
+    logdet_sy = Fq.logdet() - sum(f.logdet() for f in model.block_factors()) + n * math.log(s2)
 
     if design is not None:
         Fd = np.asarray(design, float)
         if Fd.ndim == 1:
             Fd = Fd[:, None]
         if beta is None:
-            SiF, _ = siginv(Fd)
+            SiF = _stacked_solve(Fq, K, memo, t, Fd, s2)[2]
             M = Fd.T @ SiF
             rhs = SiF.T @ Y.sum(axis=1)
             beta = np.atleast_1d(np.linalg.solve(R * M, rhs))
@@ -275,29 +278,27 @@ def log_likelihood(model: FieldModel, obs: ObservationSet, beta=None, design=Non
     else:
         beta = None
         resid = Y
-    Siresid, mu = siginv(resid)
+    mu, u, Siresid = _stacked_solve(Fq, K, memo, t, resid, s2)
     quad = float(np.sum(resid * Siresid))
     ll = -0.5 * (R * n * math.log(2 * math.pi) + R * logdet_sy + quad)
     if not gradient:
         return ll, beta
 
-    N = model.N
-    Z = Fq.selected_inverse(np.repeat(np.arange(K * N), np.diff(st.indptr)), st.indices)
-    # weights of dQ_i in d(-2 loglik): R Z_ii + sum_r mu_ri mu_ri' on block i's pattern
-    weights, zq, start = [], Z[st.q_slots], 0
-    for i, (indptr, indices) in enumerate(st.patterns):
-        rows = np.repeat(np.arange(N), np.diff(indptr))
-        mu_i = mu[i * N:(i + 1) * N]
-        weights.append(R * zq[start:start + indices.size]
-                       + np.einsum("ij,ij->i", mu_i[rows], mu_i[indices]))
-        start += indices.size
-    d_kappa, d_tau = model.precision_gradient(weights, R)
-    # dQpost/dlog sigma_e = -2 Abar'Abar / s2, and |e_r|^2 / s2 = s2 |Sigma_y^{-1} r_r|^2
-    # np.sum, not a BLAS dot, whose last bits follow the BLAS thread count
-    zb = float(np.sum(Z[st.b_slots] * np.tile(memo.AtA.data, K * K)))
-    d_sigma = R * (zb / s2 - n) + s2 * float(np.sum(Siresid**2))
-    return ll, beta, LikelihoodGradient(log_kappa=-0.5 * d_kappa, log_tau=-0.5 * d_tau,
-                                        log_sigma_e=d_sigma)
+    rows = np.repeat(np.arange(K * N), np.diff(st.indptr))
+    Z = Fq.selected_inverse(rows, st.indices)
+    # the weights of the blocks' entries, concatenated, then split per block
+    q_rows, q_cols = rows[st.q_slots], st.indices[st.q_slots]
+    v = R * Z[st.q_slots] + np.einsum("ij,ij->i", mu[q_rows], mu[q_cols]) \
+        - R * np.concatenate(model.block_inverses())
+    weights = np.split(v, np.cumsum([Q.nnz for Q in model.precision_blocks()])[:-1])
+    # np.sum and np.bincount, not BLAS dots, whose last bits follow the thread count
+    zbb = Z[st.b_slots].reshape(K * K, -1).sum(axis=0) * BtB  # Zb o B'B
+    AtA_rows = np.repeat(np.arange(N), np.diff(memo.AtA.indptr))
+    d_tau = R / s2 * np.bincount(AtA_rows, zbb, minlength=N) \
+        - np.sum(u * (memo.At @ Siresid), axis=1)
+    d_sigma = R * (float(np.sum(zbb)) / s2 - n) + s2 * float(np.sum(Siresid**2))
+    return ll, beta, LikelihoodGradient(log_kappa=-0.5 * model._kappa_gradient(weights),
+                                        log_tau=d_tau, log_sigma_e=d_sigma)
 
 
 # -- covariates by kriging ---------------------------------------------------------

@@ -376,6 +376,14 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
      "alpha must exceed 1/2 and be at most 3, got 7.0"),
     (["simulate", "interval:1", "--alpha", "0.9", "--n", "-1"],
      "the number of samples must be at least 1, got -1"),
+    (["oracle", "--graph", "interval", "--alpha", "nan", "--kappa", "1"],
+     "--alpha must be finite and exceed 0.5, got nan"),
+    (["oracle", "--graph", "tadpole", "--alpha", "0.3", "--kappa", "1"],
+     "--alpha must be finite and exceed 0.5, got 0.3"),
+    (["oracle", "--graph", "circle", "--alpha", "1.5", "--kappa", "-1"],
+     "--kappa must be finite and exceed 0, got -1.0"),
+    (["varstat", "tadpole", "--alpha", "0.9", "--sigma0", "nan"],
+     "sigma0 must be positive and finite, got nan"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     """One error line and exit 2; --h 0.1 and --out are added where the
@@ -388,7 +396,7 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
             spec.write_text(a[len("SPEC"):])
     argv = [str(obs) if a == "OBS" else str(spec) if a.startswith("SPEC") else a
             for a in argv]
-    if argv[0] != "rational" and "--h" not in argv:
+    if argv[0] not in ("rational", "oracle") and "--h" not in argv:
         argv += ["--h", "0.1"]
     if argv[0] not in ("rational", "mesh"):
         argv += ["--out", str(tmp_path / "out.csv")]

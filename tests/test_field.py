@@ -164,11 +164,12 @@ def test_sampling_deterministic(interval_mesh_65):
 
 
 def test_sampling_matches_dense_rcm_cholesky():
-    """Draws are G^{-T} z per block, with G the Cholesky factor of the block
-    in reverse Cuthill-McKee order and z the block's Philox stream."""
+    """Draws are T^{-1} sum_i G_i^{-T} z_i, with G_i the Cholesky factor of the
+    tau-free block i in reverse Cuthill-McKee order and z_i its Philox stream."""
     mesh = build_mesh(tadpole_graph(), 0.05)
     t = np.linspace(0.0, 1.0, mesh.N)
-    model = FieldModel.build(mesh, 1.4, 2.0 + np.sin(3 * t), 1.0 + 0.5 * t, m=3)
+    tau = 1.0 + 0.5 * t
+    model = FieldModel.build(mesh, 1.4, 2.0 + np.sin(3 * t), tau, m=3)
     want = np.zeros((mesh.N, 4))
     for i, Q in enumerate(model.precision_blocks()):
         perm = reverse_cuthill_mckee(Q, symmetric_mode=True)
@@ -176,6 +177,7 @@ def test_sampling_matches_dense_rcm_cholesky():
         rng = np.random.Generator(np.random.Philox(key=np.array([11, i], dtype=np.uint64)))
         want[perm] += solve_triangular(G, rng.standard_normal((mesh.N, 4)), lower=True,
                                        trans="T")
+    want /= tau[:, None]
     got = model.sample(4, seed=11).T
     assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
 
@@ -298,10 +300,8 @@ def test_tau_scales_the_tau_free_model(tau_case, alpha, m):
     mesh, kappa, tau = tau_case
     one = FieldModel.build(mesh, alpha, kappa, 1.0, m=m)
     model = FieldModel.build(mesh, alpha, kappa, tau, m=m)
-    T = diags(tau)
-    for Q, Q1 in zip(model.precision_blocks(), one.precision_blocks()):
-        want = (T @ Q1 @ T).toarray()
-        assert np.abs(Q.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    for Q, Q1 in zip(model.precision_blocks(), one.precision_blocks(), strict=True):
+        assert_same_csr(Q, Q1)  # the blocks are tau-free
     S = model.covariance()
     assert np.abs(model.covariance_from_blocks() - S).max() < 1e-9
     assert np.array_equal(model.sample(3, seed=4), one.sample(3, seed=4) / tau)
@@ -371,12 +371,13 @@ def test_first_order_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
 
 
 @settings(max_examples=10, deadline=None)
-@given(mesh=random_meshes(), k0=st.floats(0.5, 5.0), alpha=st.sampled_from([1.4, 2.5]))
+@given(mesh=random_meshes(), k0=st.floats(0.5, 5.0), alpha=st.sampled_from([1.4, 2.5, 3.0]))
 def test_product_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
-    """The raw products (L - p_i C) S^n, and L S for n = 2, are symmetric to
-    1e-13 relative, as L is for any kappa; the blocks are their sparse
-    (M + M^T) / 2 with sorted indices, over r_i.  The tail is L / k for
-    n = 1, and for n = 2 it is L S scaled by 1 / k, then symmetrized."""
+    """The raw products (L - p_i C) S^n, and L S^{n-1} for n >= 2, are
+    symmetric to 1e-13 relative, as L is for any kappa; the blocks are their
+    sparse (M + M^T) / 2 with sorted indices, over r_i.  The tail is L / k
+    for n = 1, and for n >= 2 it is L S^{n-1} scaled by 1 / k, then
+    symmetrized (alpha = 3 has no shifted blocks, only that tail)."""
     kappa = k0 * np.exp(0.2 * np.cos(np.arange(mesh.N)))
     model = FieldModel.build(mesh, alpha, kappa, 1.0, m=3)
     n, rat, L = int(alpha), model.rational, model.L
@@ -394,7 +395,7 @@ def test_product_blocks_bit_identical_to_sparse_route(mesh, k0, alpha):
     if n == 1:
         assert_same_csr(blocks[-1], L * (1 / rat.k))
     else:
-        LS = symmetric(L @ S)
+        LS = symmetric(L @ (S if n == 2 else Sn))
         tail = csr_matrix((LS.data * (1 / rat.k), LS.indices, LS.indptr), shape=LS.shape)
         assert_same_csr(blocks[-1], reference_sym(tail.sorted_indices()))
 
@@ -426,7 +427,7 @@ def test_kappa_gradient_matches_central_differences_of_the_blocks(mesh, alpha, s
     log_kappa[lowest] = log_kappa.min() - 0.2  # stays the unique minimum under the steps
 
     def blocks(log_kappa):
-        return FieldModel.build(mesh, alpha, np.exp(log_kappa), 1.0, m=3)._tau_free_blocks()
+        return FieldModel.build(mesh, alpha, np.exp(log_kappa), 1.0, m=3).precision_blocks()
 
     base = blocks(log_kappa)
     weights = [rng.standard_normal(Q.nnz) for Q in base]
@@ -457,11 +458,12 @@ def test_integer_alpha_one_block_is_the_operator():
 def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
     """marginal_variance (tadpole, N = 12000, alpha = 1.4, m = 16), and the
     log-likelihood with its gradient, draws, the kriging mean and variance
-    (tadpole, N = 3000, alpha = 1.4, m = 8, 300 observations; the stacked
-    band is wider than 32) and a short fit on that mesh (a kappa covariate,
-    a few evaluations) give the same bits whatever the OpenBLAS thread
-    count.  The gradient's b-term sums over nnz(Q_i) > 10000 entries, where
-    a BLAS dot splits the sum between threads."""
+    (tadpole, N = 3000, alpha = 1.4, m = 8, non-constant tau, 300
+    observations; the stacked band is wider than 32) and a short fit on that
+    mesh (a kappa covariate, a few evaluations) give the same bits whatever
+    the OpenBLAS thread count.  The gradient's b-term sums over
+    nnz(Q_i) > 10000 entries, where a BLAS dot splits the sum between
+    threads."""
     code = ("import sys, numpy as np\n"
             "from graphfield.field import FieldModel\n"
             "from graphfield.graph import GraphPoint, tadpole_graph\n"
@@ -471,7 +473,9 @@ def test_variance_and_likelihood_gradient_same_bits_with_one_or_two_blas_threads
             "graph = tadpole_graph()\n"
             "model = FieldModel.build(build_mesh(graph, 0.00025), 1.4, 3.0, 1.0)\n"
             "assert model.N == 12000 and model.m == 16\n"
-            "small = FieldModel.build(build_mesh(graph, 0.001), 1.4, 3.0, 1.0, m=8)\n"
+            "mesh = build_mesh(graph, 0.001)\n"
+            "tau = 1 + 0.5 * np.sin(np.arange(mesh.N) / 100)\n"
+            "small = FieldModel.build(mesh, 1.4, 3.0, tau, m=8)\n"
             "assert small.N == 3000\n"
             "rng = np.random.default_rng(3)\n"
             "edges = rng.integers(graph.n_edges, size=300)\n"

@@ -604,3 +604,60 @@ def test_covariance_route_matches_dense_on_random_graphs(mesh, alpha, seed, ever
         if want[2]:
             assert got.mse == pytest.approx(want[0], rel=1e-10)
             assert got.nls == pytest.approx(want[1], rel=1e-10)
+
+
+@settings(max_examples=12, deadline=None)
+@given(mesh=random_meshes(), case=st.sampled_from([(0.75, 2), (1.0, None), (1.4, 2),
+                                                   (2.0, None)]),
+       seed=st.integers(0, 2**32 - 1), replicates=st.integers(1, 2), profiled=st.booleans())
+def test_likelihood_gradient_matches_central_differences_on_random_graphs(
+        mesh, case, seed, replicates, profiled):
+    """The full log_likelihood gradient (log kappa and log tau at the nodes,
+    log sigma_e) against central differences on random graphs, with
+    non-constant kappa and tau, a random sigma_e, observations at vertices,
+    inside edges and at one point twice, and beta profiled or absent.  Each
+    node group is checked at the node of smallest kappa (where the rational
+    coefficients move with min kappa), at random nodes and along a random
+    direction, within 1e-6 of the gradient's scale (for sigma_e, of n R, the
+    size of its terms)."""
+    alpha, m = case
+    rng = np.random.default_rng(seed)
+    N, graph = mesh.N, mesh.graph
+    wave = np.sin(np.arange(N) * rng.uniform(0.1, 1.0))
+    log_kappa = np.log(2.0) + 0.3 * wave
+    lowest = int(rng.integers(N))
+    log_kappa[lowest] = log_kappa.min() - 0.2  # stays the unique minimum under the steps
+    log_tau = 0.2 * np.cos(np.arange(N) * rng.uniform(0.1, 1.0))
+    edges = rng.integers(graph.n_edges, size=12)
+    points = [GraphPoint(int(e), graph.edges[e].length * t)
+              for e, t in zip(edges, np.r_[0.0, 1.0, 0.0, rng.uniform(0.05, 0.95, 9)])]
+    points.append(points[-1])
+    n = len(points)
+    values = 0.5 + rng.standard_normal((n, replicates) if replicates > 1 else n)
+    obs = ObservationSet(points, values, float(rng.uniform(0.1, 1.0)))
+    design = np.ones(n) if profiled else None
+
+    def loglik(log_kappa, log_tau, log_sigma=math.log(obs.sigma_e), gradient=False):
+        model = FieldModel.build(mesh, alpha, np.exp(log_kappa), np.exp(log_tau), m=m)
+        return log_likelihood(model, obs.with_sigma_e(math.exp(log_sigma)), design=design,
+                              gradient=gradient)
+
+    grad = loglik(log_kappa, log_tau, gradient=True)[2]
+    step = 1e-4  # at 1e-5 rounding in the loglik reaches 6e-7 of the scale for alpha = 2
+
+    def check(got, scale, plus, minus):
+        fd = (plus[0] - minus[0]) / (2 * step)
+        assert abs(got - fd) <= 1e-6 * scale, (got, fd, scale)
+
+    for name, g in (("kappa", grad.log_kappa), ("tau", grad.log_tau)):
+        directions = [np.eye(N)[a] for a in {lowest, *rng.choice(N, 2, replace=False)}]
+        directions.append(rng.standard_normal(N))
+        for d in directions:
+            def shifted(sign):
+                e = sign * step * d
+                return loglik(log_kappa + e, log_tau) if name == "kappa" else \
+                    loglik(log_kappa, log_tau + e)
+            check(g @ d, np.abs(g).max() * np.abs(d).sum(), shifted(1), shifted(-1))
+    log_sigma = math.log(obs.sigma_e)
+    check(grad.log_sigma_e, n * replicates, loglik(log_kappa, log_tau, log_sigma + step),
+          loglik(log_kappa, log_tau, log_sigma - step))
