@@ -16,7 +16,7 @@ from .mesh import Mesh, build_mesh
 from .assembly import assemble_mass, assemble_stiffness, lump_mass, operator_matrix
 from .fractional import (PartialFractions, RationalApprox, brasil,
                          calibrate_order, partial_fractions)
-from .field import FieldModel, log_regression_coefficients, variance_stationary_model
+from .field import FieldModel, variance_stationary_model
 from .oracle import (MaternParams, bessel_kv, exact_covariance, folded_circle,
                      folded_interval, matern, spectral_discrete_cov,
                      tadpole_cov, tadpole_cov_exact, tadpole_cov_mercer)

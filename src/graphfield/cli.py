@@ -30,7 +30,7 @@ from .harness import (DEFAULT_CALIBRATION_C, MIN_RATE_LEVELS, error_grid, oracle
 from .inference import (InferenceError, ModelSpec, ObservationSet, fit, kriging,
                         leave_radius_out_cv, write_cv_csv)
 from .mesh import build_mesh
-from .oracle import exact_covariance
+from .oracle import OracleError, exact_covariance
 
 FMT = "%.17g"
 
@@ -558,7 +558,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, GraphError, FileNotFoundError, json.JSONDecodeError, FieldError,
             ExpressionError, AssumptionError, InferenceError, RationalError,
-            NotSPDError) as err:
+            NotSPDError, OracleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

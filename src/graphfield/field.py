@@ -42,8 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from .assembly import (coefficient_at_nodes, operator_matrix, positive_coefficient,
-                       shift_diagonal)
+from .assembly import operator_matrix, positive_coefficient, shift_diagonal
 from .cholesky import Analysis, NotSPDError, SparseCholesky, same_pattern, selected_inverses
 from .fractional import (ORDER_CAP, PartialFractions, brasil, calibrate_order,
                          fractional_part, partial_fractions)
@@ -81,7 +80,6 @@ class FieldModel:
     L: csr_matrix
     c_diag: np.ndarray
     _core: _BlockCore = field(default_factory=_BlockCore, repr=False)
-    _L_factor: SparseCholesky | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, mesh: Mesh, alpha: float, kappa, tau, m: int | None = None,
@@ -119,7 +117,7 @@ class FieldModel:
 
     @property
     def m(self) -> int:
-        return len(self.rational.poles)
+        return self.rational.m
 
     @property
     def n_blocks(self) -> int:
@@ -244,11 +242,6 @@ class FieldModel:
             cache["operator_analysis"] = Analysis(self.L)
         return cache["operator_analysis"]
 
-    def _operator_factor(self) -> SparseCholesky:
-        if self._L_factor is None:
-            self._L_factor = SparseCholesky(self.L, analysis=self._operator_analysis(self.L))
-        return self._L_factor
-
     # -- covariance --------------------------------------------------------------
 
     def covariance(self) -> np.ndarray:
@@ -268,13 +261,14 @@ class FieldModel:
         n = 0 and (L^{-1}C)^{n-1} L^{-1} (C A + k R~) for n >= 1."""
         column = (-1,) + (1,) * (R.ndim - 1)  # node values broadcast along R's rows
         tinv, c = (1.0 / self.tau_nodes).reshape(column), self.c_diag.reshape(column)
-        Rt, rat, Lf = R * tinv, self.rational, self._operator_factor()
+        Rt, rat, analysis = R * tinv, self.rational, self._operator_analysis(self.L)
         A = np.zeros_like(Rt)
         for r, p in zip(rat.residues, rat.poles):
-            A += r * SparseCholesky(self._shifted(p), analysis=Lf.analysis).solve(Rt)
+            A += r * SparseCholesky(self._shifted(p), analysis=analysis).solve(Rt)
         n = int(math.floor(self.alpha))
         if n == 0:
             return (A + rat.k / c * Rt) * tinv
+        Lf = SparseCholesky(self.L, analysis=analysis)
         X = Lf.solve(c * A + rat.k * Rt)
         for _ in range(n - 1):
             X = Lf.solve(c * X)
@@ -383,27 +377,3 @@ def variance_stationary_model(mesh: Mesh, kappa, alpha: float, sigma0: float,
     base = FieldModel.build(mesh, alpha, kappa, 1.0, m=m)
     sigma_k = base.marginal_std()
     return replace(base, tau_nodes=positive_coefficient(mesh, sigma_k / sigma0, "tau"))
-
-
-def log_regression_coefficients(mesh: Mesh, covariates, theta_tau, theta_kappa):
-    """Node values of tau and kappa from log-linear regressions
-    log tau = theta_tau[0] + sum_j theta_tau[j] g_j (same for kappa).
-
-    covariates: list of node-value arrays (or callables of GraphPoint).
-    """
-    gs = [coefficient_at_nodes(mesh, g) for g in covariates]
-    theta_tau = np.asarray(theta_tau, float)
-    theta_kappa = np.asarray(theta_kappa, float)
-    if len(theta_tau) != len(gs) + 1 or len(theta_kappa) != len(gs) + 1:
-        raise FieldError("theta must hold an intercept plus one slope per covariate")
-    return (log_linear(mesh.N, theta_tau[0], zip(theta_tau[1:], gs)),
-            log_linear(mesh.N, theta_kappa[0], zip(theta_kappa[1:], gs)))
-
-
-def log_linear(n: int, intercept, terms) -> np.ndarray:
-    """exp(intercept + sum_j coef_j g_j) at n nodes, for terms (coef_j, g_j)
-    with g_j node-value arrays; the terms are summed in the order given."""
-    eta = np.full(n, intercept, dtype=float)
-    for coef, g in terms:
-        eta += coef * np.asarray(g, float)
-    return np.exp(eta)

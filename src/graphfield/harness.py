@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import assemble_mass, lump_mass
 from .field import FieldModel
-from .graph import builtin_graph
+from .graph import GraphError, builtin_graph
 from .mesh import build_mesh
 from .oracle import (MaternParams, exact_covariance, folded_circle, folded_interval,
                      tadpole_cov_exact)
@@ -90,7 +90,7 @@ def oracle_graph(kind: str):
         return g, name, g.edges[0].length
     if name == "tadpole":
         return g, name, None
-    raise ValueError(f"no exact covariance oracle for graph {kind!r}")
+    raise GraphError(f"no exact covariance oracle for graph {kind!r}")
 
 
 def _reference(kind: str, alpha: float, rho: float, h_ok: float):

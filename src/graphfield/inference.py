@@ -30,7 +30,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .cholesky import Analysis, SparseCholesky, same_pattern
-from .field import FieldModel, log_linear, variance_stationary_model
+from .field import FieldModel, variance_stationary_model
 from .fractional import RationalError
 from .mesh import Mesh
 
@@ -68,9 +68,10 @@ class _StackedPattern:
 
     The order is node-major: position K p + r holds copy r of node order[p],
     for the RCM order of the node pattern (the stacked pattern with indices
-    taken mod N, of bandwidth b).  Copies of nodes p and q lie at most
-    K (|p - q| + 1) - 1 apart, so the band is at most K (b + 1) - 1 wide and
-    holds every pair (r, i), (s, i) that the kriging variance reads."""
+    taken mod N, of bandwidth b).  That is the pattern of blocks[0], which
+    holds every other block's pattern and A'A's.  Copies of nodes p and q lie
+    at most K (|p - q| + 1) - 1 apart, so the band is at most K (b + 1) - 1
+    wide and holds every pair (r, i), (s, i) that the kriging variance reads."""
 
     def __init__(self, blocks, AtA):
         self.patterns = [(Q.indptr.copy(), Q.indices.copy()) for Q in blocks]
@@ -85,8 +86,7 @@ class _StackedPattern:
         b_cols = (a.col + N * c[:, None]).ravel()
         rows, cols = np.concatenate((q_rows, b_rows)), np.concatenate((q_cols, b_cols))
         pattern = coo_matrix((np.ones(rows.size), (rows, cols)), shape=self.shape).tocsr()
-        nodes = coo_matrix((np.ones(rows.size), (rows % N, cols % N)), shape=(N, N)).tocsr()
-        order = Analysis(nodes).perm  # the RCM order of the node pattern
+        order = Analysis(blocks[0]).perm
         self.analysis = Analysis(pattern, perm=(order[:, None] + N * np.arange(K)).ravel())
         # the analysis's copy of the pattern, so that Qpost has its very arrays
         self.indptr, self.indices = self.analysis.indptr, self.analysis.indices
@@ -338,6 +338,27 @@ class LogRegression:
     intercept: float | None = 0.0
     slopes: list = field(default_factory=list)
 
+    def free(self, prefix: str) -> list:
+        """Names of the estimated entries: prefix_intercept, then prefix_slope<j>."""
+        return ([f"{prefix}_intercept"] if self.intercept is None else []) + \
+            [f"{prefix}_slope{j}" for j, s in enumerate(self.slopes) if s is None]
+
+    def nodes(self, prefix: str, theta: dict, covariates, n: int) -> np.ndarray:
+        """exp(log f) at n nodes, the estimated entries read from theta by the
+        names of free(prefix); the terms are summed in covariate order."""
+        eta = np.full(n, theta.get(f"{prefix}_intercept", self.intercept), dtype=float)
+        for j, s in enumerate(self.slopes):
+            eta += theta.get(f"{prefix}_slope{j}", s) * np.asarray(covariates[j], float)
+        return np.exp(eta)
+
+    def gradient(self, d: np.ndarray, covariates) -> list:
+        """Derivatives in the estimated entries, in free() order, of a function
+        whose derivative in log f at the nodes is d.  np.sum, not a BLAS dot,
+        whose last bits follow the thread count."""
+        return ([np.sum(d)] if self.intercept is None else []) + \
+            [np.sum(d * np.asarray(covariates[j], float))
+             for j, s in enumerate(self.slopes) if s is None]
+
 
 @dataclass
 class ModelSpec:
@@ -448,38 +469,23 @@ _ALPHA_BOX = (0.55, 2.95)
 
 
 def _collect_free(spec: ModelSpec):
-    names = []
-    init = []
-    if spec.kappa.intercept is None:
-        names.append("kappa_intercept"); init.append(0.0)
-    for j, s in enumerate(spec.kappa.slopes):
-        if s is None:
-            names.append(f"kappa_slope{j}"); init.append(0.0)
+    names = spec.kappa.free("kappa")
     if spec.variance_stationary:
-        if spec.sigma0 is None:
-            names.append("log_sigma0"); init.append(0.0)
-    elif spec.tau is not None:
-        if spec.tau.intercept is None:
-            names.append("tau_intercept"); init.append(0.0)
-        for j, s in enumerate(spec.tau.slopes):
-            if s is None:
-                names.append(f"tau_slope{j}"); init.append(0.0)
+        names += ["log_sigma0"] if spec.sigma0 is None else []
+    else:
+        names += spec.tau.free("tau")
+    init = [0.0] * len(names)
     if spec.sigma_e == "estimate":
         names.append("log_sigma_e"); init.append(math.log(0.3))
     return names, np.array(init)
 
 
 def _materialize(spec: ModelSpec, mesh: Mesh, alpha: float, theta: dict) -> FieldModel:
-    def predict(reg: LogRegression, prefix: str):
-        return log_linear(mesh.N, theta.get(f"{prefix}_intercept", reg.intercept),
-                          [(theta.get(f"{prefix}_slope{j}", s), spec.covariates[j])
-                           for j, s in enumerate(reg.slopes)])
-
-    kappa = predict(spec.kappa, "kappa")
+    kappa = spec.kappa.nodes("kappa", theta, spec.covariates, mesh.N)
     if spec.variance_stationary:
         sigma0 = math.exp(theta["log_sigma0"]) if spec.sigma0 is None else spec.sigma0
         return variance_stationary_model(mesh, kappa, alpha, sigma0)
-    tau = predict(spec.tau, "tau")
+    tau = spec.tau.nodes("tau", theta, spec.covariates, mesh.N)
     return FieldModel.build(mesh, alpha, kappa, tau)
 
 
@@ -493,6 +499,8 @@ def _negative_log_likelihood(spec: ModelSpec, names, mesh: Mesh, obs: Observatio
     """-loglik at the free parameters x (in the order of names), and with
     gradient=True also its gradient in x, by the chain rule through
     log kappa = intercept + sum_j slope_j g_j (likewise log tau)."""
+    if gradient and spec.variance_stationary:  # tau depends on kappa: g misses that chain
+        raise InferenceError("a variance-stationary spec has no analytic gradient")
     theta = dict(zip(names, x))
     model = _materialize(spec, mesh, alpha, theta)
     out = log_likelihood(model, obs.with_sigma_e(_sigma_e(spec, theta)), design=design,
@@ -500,16 +508,10 @@ def _negative_log_likelihood(spec: ModelSpec, names, mesh: Mesh, obs: Observatio
     if not gradient:
         return -out[0]
     ll, _, g = out
-    nodes = {"kappa": g.log_kappa, "tau": g.log_tau}
-    grad = []
-    for name in names:
-        if name == "log_sigma_e":
-            grad.append(g.log_sigma_e)
-            continue
-        prefix, _, coef = name.partition("_")
-        d = nodes[prefix]
-        grad.append(d.sum() if coef == "intercept" else
-                    d @ np.asarray(spec.covariates[int(coef[len("slope"):])], float))
+    grad = spec.kappa.gradient(g.log_kappa, spec.covariates) + \
+        spec.tau.gradient(g.log_tau, spec.covariates)
+    if spec.sigma_e == "estimate":
+        grad.append(g.log_sigma_e)
     return -ll, -np.array(grad)
 
 

@@ -22,6 +22,10 @@ import numpy as np
 from scipy.linalg import eigh
 
 
+class OracleError(ValueError):
+    """An oracle asked for parameters outside its domain."""
+
+
 def bessel_kv(nu: float, x):
     """Modified Bessel function of the second kind K_nu(x) for real nu and
     x >= 0, by ``scipy.special.kv``.
@@ -51,8 +55,16 @@ class MaternParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not (self.nu > 0 and self.kappa > 0 and self.tau > 0):
-            raise ValueError("nu, kappa, tau must all be positive")
+        if not all(0 < v < math.inf for v in (self.nu, self.kappa, self.tau)):  # NaN fails too
+            raise OracleError(f"nu, kappa, tau must be finite and positive, got "
+                              f"{self.nu!r}, {self.kappa!r}, {self.tau!r}")
+        try:
+            sigma2 = self.sigma2
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = math.inf
+        if not 0 < sigma2 < math.inf:
+            raise OracleError(f"the marginal variance at nu={self.nu!r}, kappa={self.kappa!r}, "
+                              f"tau={self.tau!r} is not a finite positive float")
 
     @property
     def sigma2(self) -> float:
@@ -72,12 +84,15 @@ class MaternParams:
 
     @classmethod
     def unit_variance(cls, alpha: float, rho: float) -> "MaternParams":
-        """Parameters with practical range rho and marginal variance 1."""
+        """Parameters with practical range rho and marginal variance 1: tau^2
+        is the marginal variance at tau = 1.  Needs alpha > 1/2 and a finite
+        rho > 0."""
+        if not (alpha > 0.5 and 0 < rho < math.inf):  # NaN fails too
+            raise OracleError(f"unit_variance needs alpha > 1/2 and a finite range rho > 0, "
+                              f"got alpha={alpha!r}, rho={rho!r}")
         nu = alpha - 0.5
         kappa = math.sqrt(8 * nu) / rho
-        tau2 = math.gamma(nu) / (kappa ** (2 * nu) * math.sqrt(4 * math.pi)
-                                 * math.gamma(nu + 0.5))
-        return cls(nu, kappa, math.sqrt(tau2))
+        return cls(nu, kappa, math.sqrt(cls(nu, kappa).sigma2))
 
 
 def matern(h, p: MaternParams):

@@ -384,6 +384,17 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
      "--kappa must be finite and exceed 0, got -1.0"),
     (["varstat", "tadpole", "--alpha", "0.9", "--sigma0", "nan"],
      "sigma0 must be positive and finite, got nan"),
+    # Gamma(199.5) overflows; kappa^{2 nu} underflows to 0
+    (["oracle", "--graph", "interval", "--alpha", "200", "--kappa", "1"],
+     "the marginal variance at nu=199.5, kappa=1.0, tau=1.0 is not a finite positive float"),
+    (["oracle", "--graph", "tadpole", "--alpha", "1.5", "--kappa", "1e-300"],
+     "the marginal variance at nu=1.0, kappa=1e-300, tau=1.0 is not a finite positive float"),
+    (["convergence", "--graph", "interval", "--rho", "0"],
+     "unit_variance needs alpha > 1/2 and a finite range rho > 0, got alpha=0.75, rho=0.0"),
+    (["convergence", "--graph", "interval", "--rho", "-1"], "rho=-1.0"),
+    (["convergence", "--graph", "interval", "--alphas", "0.3"], "got alpha=0.3, rho=0.5"),
+    (["errorgrid", "--graph", "interval", "--rhos", "nan"], "got alpha=0.6, rho=nan"),
+    (["errorgrid", "--graph", "star:3"], "no exact covariance oracle for graph 'star:3'"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     """One error line and exit 2; --h 0.1 and --out are added where the
@@ -396,7 +407,7 @@ def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message
             spec.write_text(a[len("SPEC"):])
     argv = [str(obs) if a == "OBS" else str(spec) if a.startswith("SPEC") else a
             for a in argv]
-    if argv[0] not in ("rational", "oracle") and "--h" not in argv:
+    if argv[0] not in ("rational", "oracle", "convergence", "errorgrid") and "--h" not in argv:
         argv += ["--h", "0.1"]
     if argv[0] not in ("rational", "mesh"):
         argv += ["--out", str(tmp_path / "out.csv")]

@@ -9,11 +9,10 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from graphfield.assembly import lump_mass, assemble_mass
 from graphfield.cholesky import SparseCholesky, same_pattern
 from graphfield.exprs import CoefficientExpression
-from graphfield.field import (FieldModel, FieldError, log_regression_coefficients,
-                              variance_stationary_model)
+from graphfield.field import FieldModel, FieldError, variance_stationary_model
 from graphfield.fractional import ORDER_CAP, PartialFractions
 from graphfield.graph import GraphPoint, circle_graph, interval_graph, star_graph, tadpole_graph
-from graphfield.inference import ObservationSet, log_likelihood
+from graphfield.inference import LogRegression, ObservationSet, log_likelihood
 from graphfield.mesh import build_mesh
 from graphfield.oracle import spectral_discrete_cov
 
@@ -220,18 +219,20 @@ def test_variance_stationary_circle_constant_tau():
 
 def test_log_regression_intercepts_only():
     mesh = build_mesh(interval_graph(1.0), 0.25)
-    tau, kappa = log_regression_coefficients(mesh, [], [0.7], [-0.2])
+    tau = LogRegression(0.7).nodes("tau", {}, [], mesh.N)
+    kappa = LogRegression(None).nodes("kappa", {"kappa_intercept": -0.2}, [], mesh.N)
     assert np.allclose(tau, np.exp(0.7))
     assert np.allclose(kappa, np.exp(-0.2))
 
 
 def test_log_regression_logo_example():
     # tau(s) = exp(0.05 (x - y)), kappa(s) = exp(0.1 (x - y)) from the
-    # coordinate covariate with theta = (0, 0.05) and (0, 0.1)
+    # coordinate covariate with (intercept, slope) = (0, 0.05) and (0, 0.1)
     mesh = build_mesh(star_graph(4), 0.2)
     xy = mesh.node_xy()
     g = xy[:, 0] - xy[:, 1]
-    tau, kappa = log_regression_coefficients(mesh, [g], [0.0, 0.05], [0.0, 0.1])
+    tau = LogRegression(0.0, [None]).nodes("tau", {"tau_slope0": 0.05}, [g], mesh.N)
+    kappa = LogRegression(None, [0.1]).nodes("kappa", {"kappa_intercept": 0.0}, [g], mesh.N)
     assert np.allclose(tau, np.exp(0.05 * g), rtol=1e-14)
     assert np.allclose(kappa, np.exp(0.1 * g), rtol=1e-14)
 
@@ -239,8 +240,8 @@ def test_log_regression_logo_example():
 def test_log_regression_monotone_in_theta():
     mesh = build_mesh(interval_graph(1.0), 0.25)
     g = np.linspace(0.1, 1.0, mesh.N)
-    tau1, _ = log_regression_coefficients(mesh, [g], [0.0, 0.5], [0.0, 0.0])
-    tau2, _ = log_regression_coefficients(mesh, [g], [0.0, 0.9], [0.0, 0.0])
+    tau1 = LogRegression(0.0, [0.5]).nodes("tau", {}, [g], mesh.N)
+    tau2 = LogRegression(0.0, [0.9]).nodes("tau", {}, [g], mesh.N)
     assert np.all(tau2 > tau1)
 
 

@@ -16,6 +16,7 @@ from graphfield.inference import (InferenceError, LogRegression, ModelSpec,
                                   leave_radius_out_cv, log_likelihood)
 from graphfield.mesh import build_mesh
 
+from child import run_python
 from strategies import random_meshes
 
 
@@ -98,6 +99,24 @@ def test_loglik_matches_dense(tadpole_model):
         y = obs.values
         want = -0.5 * (n * math.log(2 * math.pi) + ld + y @ np.linalg.solve(Sy, y))
         assert ll == pytest.approx(want, abs=1e-8)
+
+
+def test_loglik_with_fixed_beta_matches_dense(tadpole_model):
+    """A given beta is not profiled: the log-likelihood is the dense Gaussian
+    log-density of the replicates' residuals y - F beta."""
+    S = tadpole_model.covariance()
+    obs = random_obs(tadpole_model, 12, 31, sigma=0.4, replicates=2)
+    rng = np.random.default_rng(4)
+    design = np.column_stack([np.ones(obs.n), rng.standard_normal(obs.n)])
+    beta = np.array([0.7, -0.3])
+    ll, got_beta = log_likelihood(tadpole_model, obs, beta=beta, design=design)
+    A = tadpole_model.mesh.basis_matrix(obs.points).toarray()
+    Sy = A @ S @ A.T + 0.16 * np.eye(obs.n)
+    resid = obs.values - (design @ beta)[:, None]
+    want = -0.5 * (2 * (obs.n * math.log(2 * math.pi) + np.linalg.slogdet(Sy)[1])
+                   + np.sum(resid * np.linalg.solve(Sy, resid)))
+    assert np.array_equal(got_beta, beta)
+    assert ll == pytest.approx(want, rel=1e-10)
 
 
 def test_loglik_large_noise_limit(tadpole_model):
@@ -289,6 +308,23 @@ def test_observation_validation():
         ObservationSet([GraphPoint(0, 0.1)], np.array([1.0, 2.0]), 0.1)
 
 
+def test_fit_without_free_parameters_evaluates_the_spec(tadpole_model):
+    """A spec that fixes every entry takes no optimizer step: fit returns its
+    values, converged, and the log-likelihood at them."""
+    obs = random_obs(tadpole_model, 20, 8)
+    design = np.ones(obs.n)
+    spec = ModelSpec(alpha=1.0, kappa=LogRegression(0.5, []), tau=LogRegression(0.0, []),
+                     sigma_e=0.3)
+    res = fit(spec, tadpole_model.mesh, obs, design=design)
+    assert res.params == {"alpha": 1.0, "sigma_e": 0.3}
+    assert res.converged and res.n_evaluations == 1 and res.gradient_norm == 0.0
+    model = FieldModel.build(tadpole_model.mesh, 1.0, np.exp(np.full(tadpole_model.N, 0.5)),
+                             1.0)
+    ll, beta = log_likelihood(model, obs.with_sigma_e(0.3), design=design)
+    assert res.loglik == ll and np.array_equal(res.beta, beta)
+    assert np.array_equal(res.model.kappa_nodes, model.kappa_nodes)
+
+
 def test_fit_variance_stationary_model():
     mesh = build_mesh(star_graph(4), 0.05)
     truth = variance_stationary_model(mesh, 2.5, alpha=1.0, sigma0=1.5)
@@ -392,6 +428,25 @@ def test_likelihood_gradient_matches_central_differences(alpha, h, m):
     assert model.m == m
 
 
+def test_log_regression_gradient_same_bits_with_one_or_two_blas_threads(tmp_path):
+    """LogRegression.gradient at 6e4 nodes gives the same bits under 1 and 2
+    OpenBLAS threads; a BLAS dot d @ g, which splits its sum between threads,
+    does not on these vectors."""
+    code = ("import sys, numpy as np\n"
+            "from graphfield.inference import LogRegression\n"
+            "d, g = np.random.default_rng(0).standard_normal((2, 60000))\n"
+            "grad = LogRegression(None, [None, 0.3, None]).gradient(d, [g, g, g**2])\n"
+            "np.save(sys.argv[1], np.array(grad))\n")
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"gradient{threads}.npy"
+        child = run_python(code, path, env=dict(OPENBLAS_NUM_THREADS=threads,
+                                                OMP_NUM_THREADS=threads))
+        assert child.exit_code == 0, child.stderr
+        runs.append(np.load(path))
+    assert runs[0].shape == (3,) and np.array_equal(runs[0], runs[1])
+
+
 def test_fit_variance_stationary_runs_on_finite_differences(monkeypatch):
     import graphfield.inference as inference
 
@@ -422,6 +477,8 @@ def test_fit_variance_stationary_runs_on_finite_differences(monkeypatch):
                    - _negative_log_likelihood(spec, names, mesh, obs, None, 1.0, x - e)) / (2 * h)
         assert abs(central) < 1e-2
     assert res.gradient_norm < 1e-1
+    with pytest.raises(InferenceError, match="no analytic gradient"):
+        _negative_log_likelihood(spec, names, mesh, obs, None, 1.0, x, gradient=True)
 
 
 def test_fit_scores_unbuildable_alpha_as_infeasible(monkeypatch):
@@ -661,3 +718,27 @@ def test_likelihood_gradient_matches_central_differences_on_random_graphs(
     log_sigma = math.log(obs.sigma_e)
     check(grad.log_sigma_e, n * replicates, loglik(log_kappa, log_tau, log_sigma + step),
           loglik(log_kappa, log_tau, log_sigma - step))
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=random_meshes(), alpha=st.sampled_from([0.75, 0.9, 1.0, 1.4, 2.0, 2.5, 3.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_block_pattern_holds_the_stacked_node_pattern(mesh, alpha, seed):
+    """The stacked posterior orders its nodes by the RCM order of blocks[0]:
+    that pattern holds every other block's pattern and A'A's, for
+    observations at vertices and inside edges."""
+    rng = np.random.default_rng(seed)
+    graph = mesh.graph
+    wave = np.sin(np.arange(mesh.N) * rng.uniform(0.1, 1.0))
+    model = FieldModel.build(mesh, alpha, 2.0 * np.exp(0.3 * wave), 1.0,
+                             m=2 if alpha % 1 else None)
+    edges = rng.integers(graph.n_edges, size=10)
+    points = [GraphPoint(int(e), graph.edges[e].length * t)
+              for e, t in zip(edges, np.r_[0.0, 1.0, rng.uniform(0.05, 0.95, 8)])]
+    AtA = mesh.basis_matrix(points).T @ mesh.basis_matrix(points)
+    first, *others = model.precision_blocks()
+    inside = sparse.csr_matrix((np.ones(first.nnz), first.indices, first.indptr),
+                               shape=first.shape)
+    for M in others + [AtA]:
+        ones = sparse.csr_matrix((np.ones(M.nnz), M.indices, M.indptr), shape=M.shape)
+        assert ones.multiply(inside).nnz == ones.nnz
