@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -77,7 +78,7 @@ def _write_manifest(out_path, args, t0, extra=None):
         "tool": "graphfield",
         "version": __version__,
         "argv": sys.argv[1:],
-        "config": {k: v for k, v in vars(args).items() if k != "func"},
+        "config": vars(args),
         "seconds": round(time.time() - t0, 3),
     }
     if extra:
@@ -241,10 +242,6 @@ def cmd_varstat(args):
 
 def cmd_oracle(args):
     t0 = time.time()
-    for option, low in (("alpha", 0.5), ("kappa", 0.0), ("tau", 0.0)):
-        value = getattr(args, option)
-        if not low < value < math.inf:  # NaN fails too
-            raise CliError(f"--{option} must be finite and exceed {low:g}, got {value!r}")
     g, name, length = oracle_graph(args.graph)
     mesh = build_mesh(g, args.grid_h)
     pts = mesh.node_points()
@@ -402,7 +399,10 @@ class _Parser(argparse.ArgumentParser):
         return action
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  It binds no command
+    function: `main` looks up cmd_<name> when it runs."""
     ap = _Parser(
         prog="graphfield",
         description="Whittle-Matern Gaussian fields on metric graphs",
@@ -413,20 +413,17 @@ def build_parser():
     p = sub.add_parser("graph", help="graph file utilities")
     p.add_argument("action", choices=["validate"])
     p.add_argument("graph")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("mesh", help="build a FEM mesh and report sizes")
     p.add_argument("graph")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--dump", default=None, help="write node table CSV")
-    p.set_defaults(func=cmd_mesh)
 
     p = sub.add_parser("rational", help="minimax rational approximation of x^{alpha}")
     p.add_argument("--alpha", type=float, required=True,
                    help="fractional exponent in (0,1), or alpha>1 whose fractional part is used")
     p.add_argument("--m", type=int, required=True, help=f"rational order, at most {ORDER_CAP}")
     p.add_argument("--b", type=float, default=1.0, help="right endpoint of the interval")
-    p.set_defaults(func=cmd_rational)
 
     p = sub.add_parser("simulate", help="sample the field at mesh nodes")
     p.add_argument("graph")
@@ -435,7 +432,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("cov", help="covariance row against a fixed point")
     p.add_argument("graph")
@@ -443,7 +439,6 @@ def build_parser():
     _add_model_args(p)
     p.add_argument("--point", required=True, help="edge,t")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cov)
 
     p = sub.add_parser("varstat", help="variance-stationary model: tau and achieved std")
     p.add_argument("graph")
@@ -451,7 +446,6 @@ def build_parser():
     _add_model_args(p, need_tau=False)
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_varstat)
 
     p = sub.add_parser("oracle", help="exact covariance matrix on an analytic graph")
     p.add_argument("--graph", required=True, choices=["interval", "circle", "tadpole",
@@ -461,7 +455,6 @@ def build_parser():
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--grid-h", type=float, default=0.05, help="evaluation grid spacing")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("convergence", help="rate experiment against the exact oracle")
     p.add_argument("--graph", required=True)
@@ -471,7 +464,6 @@ def build_parser():
     p.add_argument("--c", type=float, default=DEFAULT_CALIBRATION_C)
     p.add_argument("--hok-level", type=float, default=9.0, help="-log2 of the reference width")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("errorgrid", help="error sweep over (alpha, m, rho)")
     p.add_argument("--graph", required=True)
@@ -481,7 +473,6 @@ def build_parser():
     p.add_argument("--level", type=float, default=6.0, help="-log2 of the mesh width")
     p.add_argument("--hok-level", type=float, default=9.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_errorgrid)
 
     p = sub.add_parser("krige", help="posterior mean (and variance) from observations")
     p.add_argument("graph")
@@ -491,7 +482,6 @@ def build_parser():
     p.add_argument("--sigma-e", type=float, required=True)
     p.add_argument("--variance", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_krige)
 
     p = sub.add_parser("fit", help="maximum-likelihood fit of a model spec")
     p.add_argument("graph")
@@ -500,7 +490,6 @@ def build_parser():
     p.add_argument("--model", required=True, help="model spec JSON")
     p.add_argument("--intercept", action="store_true", help="include a fixed intercept")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cv", help="leave-radius-out cross-validation")
     p.add_argument("graph")
@@ -510,7 +499,6 @@ def build_parser():
     p.add_argument("--sigma-e", type=float, required=True)
     p.add_argument("--radii", default="0,0.5,1,2")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cv)
 
     return ap
 
@@ -555,7 +543,7 @@ def main(argv=None) -> int:
         if known.config is not None:
             argv = _with_config(ap, argv, known.config)
         args = ap.parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (CliError, GraphError, FileNotFoundError, json.JSONDecodeError, FieldError,
             ExpressionError, AssumptionError, InferenceError, RationalError,
             NotSPDError, OracleError) as err:

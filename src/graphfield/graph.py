@@ -101,6 +101,8 @@ class MetricGraph:
         if not self.edges:
             raise GraphError("graph has no edges")
 
+        self._lengths = np.array([e.length for e in self.edges])
+        self._ends = np.array([(self._vid_index[e.u], self._vid_index[e.v]) for e in self.edges])
         self._check_connected()
         self._vertex_dist: np.ndarray | None = None
 
@@ -132,6 +134,20 @@ class MetricGraph:
         if not (-1e-12 * ell <= p.t <= ell * (1 + 1e-12)):
             raise GraphError(f"t={p.t} outside [0, {ell}] on edge {p.edge}")
         return GraphPoint(p.edge, min(max(p.t, 0.0), ell))
+
+    def locate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Edge ids and arc lengths of points as arrays, each checked and
+        clamped to its edge as check_point does; the first point that
+        check_point rejects raises its error."""
+        n = len(points)
+        edge = np.fromiter((p.edge for p in points), np.int64, n)
+        t = np.fromiter((p.t for p in points), float, n)
+        ok = (0 <= edge) & (edge < self.n_edges)
+        ell = self._lengths[np.where(ok, edge, 0)]
+        ok &= (-1e-12 * ell <= t) & (t <= ell * (1 + 1e-12))
+        if not ok.all():
+            self.check_point(points[int(np.argmin(ok))])
+        return edge, np.minimum(np.maximum(t, 0.0), ell)
 
     def _check_connected(self):
         n = self.n_vertices
@@ -171,18 +187,10 @@ class MetricGraph:
     def geodesic_matrix(self, points: list[GraphPoint]) -> np.ndarray:
         """Pairwise geodesic distances for a list of points (vectorized)."""
         D = self.vertex_distances()
-        n = len(points)
-        ends = np.empty((n, 2), dtype=int)
-        offs = np.empty((n, 2))
-        eids = np.empty(n, dtype=int)
-        ts = np.empty(n)
-        for k, p in enumerate(points):
-            p = self.check_point(p)
-            e = self.edges[p.edge]
-            ends[k] = (self._vid_index[e.u], self._vid_index[e.v])
-            offs[k] = (p.t, e.length - p.t)
-            eids[k] = p.edge
-            ts[k] = p.t
+        eids, ts = self.locate(points)
+        ends = self._ends[eids]
+        offs = np.column_stack((ts, self._lengths[eids] - ts))
+        n = ts.size
         out = np.full((n, n), np.inf)
         for i in range(2):
             for j in range(2):

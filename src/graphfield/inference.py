@@ -206,15 +206,22 @@ def kriging(model: FieldModel, obs: ObservationSet,
     return PosteriorSummary(mean=mean, variance=variance)
 
 
+def _observation_covariance(model: FieldModel, obs: ObservationSet):
+    """The dense observation-space object of covariance-form kriging and CV:
+    W = Sigma A' (N, n), the observation covariance S_y = S + sigma_e^2 I
+    with S = A W symmetrized, and the lower Cholesky factor of S_y."""
+    A = obs.basis_matrix(model.mesh)
+    W = model.covariance_columns(np.asarray(A.T.todense()))
+    S = np.asarray(A @ W)
+    Sy = 0.5 * (S + S.T) + obs.sigma_e**2 * np.eye(obs.n)
+    return W, Sy, cho_factor(Sy, lower=True)
+
+
 def kriging_covariance_form(model: FieldModel, obs: ObservationSet) -> PosteriorSummary:
     """Covariance-form predictor Sigma A' (A Sigma A' + sigma^2 I)^{-1} y;
     the dense oracle route, algebraically equal to the GMRF form."""
-    A = obs.basis_matrix(model.mesh)
-    cols = model.covariance_columns(np.asarray(A.T.todense()))
-    S_obs = np.asarray(A @ cols)
-    S_obs = 0.5 * (S_obs + S_obs.T) + obs.sigma_e**2 * np.eye(obs.n)
-    weights = cho_solve(cho_factor(S_obs, lower=True), obs.matrix)
-    mean = cols @ weights
+    W, _, factor = _observation_covariance(model, obs)
+    mean = W @ cho_solve(factor, obs.matrix)
     if obs.values.ndim == 1:
         mean = mean[:, 0]
     return PosteriorSummary(mean=mean)
@@ -602,76 +609,64 @@ def leave_radius_out_cv(model: FieldModel, obs: ObservationSet, radii,
     radius R of it; report mean squared error and mean negative log-score.
 
     The prediction uses the covariance-form kriging identity (equal to the
-    GMRF form) and conditions through whichever exact set is smaller: the
-    kept observations (a dense solve with S_kk + sigma^2 I), or the removed
-    ball B, whose values given the rest have covariance P_BB^{-1} and mean
-    e_B - P_BB^{-1} (P e)_B with P = (S + sigma^2 I)^{-1}, formed once.  For
-    R = 0 that is the closed-form leave-one-out of Rasmussen & Williams
-    (2006, sec. 5.4.2).  A location whose ball holds every observation is
-    skipped.  The trend design @ beta is subtracted first; give both or
-    neither.  A radius must be a number >= 0.
+    GMRF form) with S_y = S + sigma^2 I, and conditions through whichever
+    exact set is smaller: the kept observations J (a solve with S_y,JJ), or
+    the removed ball B, whose values given the rest have covariance P_BB^{-1}
+    and mean e_B - P_BB^{-1} (P e)_B with P = S_y^{-1}, from S_y's one
+    Cholesky factor.  For R = 0 that is the closed-form leave-one-out of
+    Rasmussen & Williams (2006, sec. 5.4.2).  Per radius, the locations of
+    one ball size form a group whose gathered (g, b, b) systems, b the size
+    of the set conditioned on, take one np.linalg.solve, split so that no
+    batch holds more than n^2 entries, the size of P.  A location whose ball
+    holds every observation is skipped.  The trend design @ beta is
+    subtracted first; give both or neither.  A radius must be a number >= 0.
     """
     if (design is None) != (beta is None):
         raise InferenceError("leave_radius_out_cv takes design and beta together")
     for R in radii:
         if not R >= 0:
             raise InferenceError(f"cv radius must be a number >= 0, got {R}")
-    A = obs.basis_matrix(model.mesh)
-    cols = model.covariance_columns(np.asarray(A.T.todense()))
-    S = np.asarray(A @ cols)
-    S = 0.5 * (S + S.T)
-    s2 = obs.sigma_e**2
+    _, Sy, factor = _observation_covariance(model, obs)
+    n = obs.n
+    P = cho_solve(factor, np.eye(n))
+    P = 0.5 * (P + P.T)
     D = model.mesh.graph.geodesic_matrix(obs.points)
-    Y = obs.matrix
-    trend = np.zeros(obs.n) if design is None else \
-        np.asarray(design, float) @ np.atleast_1d(beta)
-    E = Y - trend[:, None]
-    P = None
+    E = obs.matrix
+    if design is not None:
+        E = E - (np.asarray(design, float) @ np.atleast_1d(beta))[:, None]
+    PE = P @ E
     out = []
     for R in radii:
-        se = []
-        nls = []
-        skipped = 0
-        for i in range(obs.n):
-            removed = D[i] <= R
-            n_removed = int(np.count_nonzero(removed))
-            if n_removed == obs.n:
-                skipped += 1
-                continue
-            if n_removed <= obs.n - n_removed:
-                if P is None:
-                    P = cho_solve(cho_factor(S + s2 * np.eye(obs.n), lower=True),
-                                  np.eye(obs.n))
-                    P = 0.5 * (P + P.T)
-                    PE = P @ E
-                # the prediction error e_i - mean is (P_BB^{-1} (P e)_B)_i
-                if n_removed == 1:
-                    var = 1.0 / P[i, i]
-                    err = PE[i] * var
+        inside = D <= R
+        size = np.count_nonzero(inside, axis=1)
+        used = size < n
+        err, var = np.empty_like(E), np.empty(n)
+        for k in np.unique(size[used]):
+            ball = k <= n - k
+            b = k if ball else n - k
+            group = np.flatnonzero(size == k)
+            step = max(1, n * n // (b * b))
+            for loc in (group[s:s + step] for s in range(0, group.size, step)):
+                sets = np.nonzero(inside[loc] if ball else ~inside[loc])[1].reshape(loc.size, b)
+                block = (P if ball else Sy)[sets[:, :, None], sets[:, None, :]]
+                if ball:
+                    # the prediction error e_i - mean is (P_BB^{-1} (P e)_B)_i
+                    unit = sets == loc[:, None]
+                    sol = np.linalg.solve(block, np.concatenate(
+                        [PE[sets], unit[:, :, None]], axis=2))[unit]
+                    err[loc], var[loc] = sol[:, :-1], sol[:, -1]
                 else:
-                    ball = np.flatnonzero(removed)
-                    k = int(np.searchsorted(ball, i))
-                    unit = np.zeros(n_removed)
-                    unit[k] = 1.0
-                    sol = cho_solve(cho_factor(P[np.ix_(ball, ball)], lower=True),
-                                    np.column_stack([PE[ball], unit]))
-                    err, var = sol[k, :-1], sol[k, -1]
-            else:
-                keep = np.flatnonzero(~removed)
-                Sjj = S[np.ix_(keep, keep)] + s2 * np.eye(keep.size)
-                ci = S[i, keep]
-                sol = cho_solve(cho_factor(Sjj, lower=True),
-                                np.column_stack([E[keep], ci]))
-                w, aux = sol[:, :-1], sol[:, -1]
-                err = Y[i] - (trend[i] + ci @ w)
-                var = S[i, i] - ci @ aux + s2
-            err2 = err**2
-            se.extend(err2.tolist())
-            nls.extend((0.5 * (np.log(2 * np.pi * var) + err2 / var)).tolist())
+                    c = Sy[loc[:, None], sets]
+                    sol = np.linalg.solve(block, np.concatenate([E[sets], c[:, :, None]], axis=2))
+                    err[loc] = E[loc] - np.einsum("gj,gjp->gp", c, sol[:, :, :-1])
+                    var[loc] = Sy[loc, loc] - np.einsum("gj,gj->g", c, sol[:, :, -1])
+        n_used = int(np.count_nonzero(used))
+        e2, v = err[used] ** 2, var[used, None]
+        nls = 0.5 * (np.log(2 * np.pi * v) + e2 / v)
         out.append(CVRecord(radius=float(R),
-                            mse=float(np.mean(se)) if se else float("nan"),
-                            nls=float(np.mean(nls)) if nls else float("nan"),
-                            n_used=obs.n - skipped, n_skipped=skipped))
+                            mse=float(np.mean(e2)) if n_used else float("nan"),
+                            nls=float(np.mean(nls)) if n_used else float("nan"),
+                            n_used=n_used, n_skipped=n - n_used))
     return out
 
 

@@ -55,21 +55,24 @@ class Mesh:
         nv = graph.n_vertices
         self._vnode = {vid: i for i, vid in enumerate(graph.vertex_ids)}
         # global node of every local node j = 0..n_segments, edge by edge
-        self._edge_nodes: list[list[int]] = []
+        edge_nodes = []
         start = nv
         for e, em in zip(graph.edges, self.edge_meshes):
-            self._edge_nodes.append([self._vnode[e.u], *range(start, start + em.n_segments - 1),
-                                     self._vnode[e.v]])
+            edge_nodes.append([self._vnode[e.u], *range(start, start + em.n_segments - 1),
+                               self._vnode[e.v]])
             start += em.n_segments - 1
         self.n_nodes = start
         self.matrix_cache: dict = {}  # assembled matrices, keyed by assembler
 
-        seq = np.fromiter(itertools.chain.from_iterable(self._edge_nodes), dtype=np.int64)
+        # local node j of edge e is global node seq[seq_start[e] + j]
+        seq = np.fromiter(itertools.chain.from_iterable(edge_nodes), dtype=np.int64)
         n_seg = np.array([em.n_segments for em in self.edge_meshes])
         edge_h = np.array([em.h for em in self.edge_meshes])
         counts = n_seg + 1  # local nodes per edge
+        seq_start = np.cumsum(counts) - counts
+        self._seq, self._seq_start, self._n_seg, self._edge_h = seq, seq_start, n_seg, edge_h
         seq_edge = np.repeat(np.arange(graph.n_edges), counts)
-        seq_j = np.arange(seq.size) - (np.cumsum(counts) - counts)[seq_edge]
+        seq_j = np.arange(seq.size) - seq_start[seq_edge]
         inner = (seq_j < n_seg[seq_edge])[:-1]  # seq[k] and seq[k + 1] share an edge
         self.seg_nodes = np.column_stack((seq[:-1][inner], seq[1:][inner]))
         self.seg_h = np.repeat(edge_h, n_seg)
@@ -88,7 +91,8 @@ class Mesh:
 
     def edge_node(self, edge_id: int, j: int) -> int:
         """Global index of local node j on an edge (j = 0..n_segments)."""
-        return self._edge_nodes[edge_id][j]
+        start = self._seq_start[edge_id]
+        return int(self._seq[start:start + self._n_seg[edge_id] + 1][j])
 
     def node_points(self) -> list[GraphPoint]:
         """Canonical GraphPoint (node_edge, node_t) for every global node.
@@ -107,34 +111,34 @@ class Mesh:
             xy[nodes] = self.graph.edge_xy(e, self.node_t[nodes])
         return xy
 
+    def _hats(self, points):
+        """(n, 2) arrays of every point's hat nodes (local nodes j, j + 1 of its
+        segment), weights (1 - w, w) and which it keeps: a point within _SNAP
+        (of a segment) of either node keeps that node alone, with weight 1."""
+        edge, t = self.graph.locate(points)
+        u = t / self._edge_h[edge]
+        j = np.minimum(np.floor(u).astype(np.int64), self._n_seg[edge] - 1)
+        w = u - j
+        low, high = w <= _SNAP, w >= 1.0 - _SNAP
+        first = self._seq_start[edge] + j
+        nodes = np.column_stack((self._seq[first], self._seq[first + 1]))
+        weights = np.column_stack((np.where(low, 1.0, 1.0 - w), np.where(high, 1.0, w)))
+        return nodes, weights, np.column_stack((~high, ~low))
+
     def eval_basis(self, s: GraphPoint) -> list[tuple[int, float]]:
         """Hat-basis weights at a point: at most two (node, weight) pairs.
 
         Weights are in [0,1] and sum to 1; a point exactly on a mesh node
         returns that single node with weight 1.
         """
-        s = self.graph.check_point(s)
-        em = self.edge_meshes[s.edge]
-        u = s.t / em.h
-        j = int(math.floor(u))
-        if j >= em.n_segments:
-            j = em.n_segments - 1
-        w = u - j
-        if w <= _SNAP:
-            return [(self.edge_node(s.edge, j), 1.0)]
-        if w >= 1.0 - _SNAP:
-            return [(self.edge_node(s.edge, j + 1), 1.0)]
-        return [(self.edge_node(s.edge, j), 1.0 - w), (self.edge_node(s.edge, j + 1), w)]
+        nodes, weights, keep = self._hats([s])
+        return list(zip(nodes[keep].tolist(), weights[keep].tolist()))
 
     def basis_matrix(self, points: list[GraphPoint]) -> csr_matrix:
         """Projector A with A[i, j] = psi_j(points[i])."""
-        rows, cols, vals = [], [], []
-        for i, p in enumerate(points):
-            for node, w in self.eval_basis(p):
-                rows.append(i)
-                cols.append(node)
-                vals.append(w)
-        return csr_matrix((vals, (rows, cols)), shape=(len(points), self.n_nodes))
+        nodes, weights, keep = self._hats(points)
+        return csr_matrix((weights[keep], (np.nonzero(keep)[0], nodes[keep])),
+                          shape=(len(points), self.n_nodes))
 
 
 def build_mesh(graph: MetricGraph, target_h: float) -> Mesh:

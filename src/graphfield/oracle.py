@@ -56,8 +56,9 @@ class MaternParams:
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.nu, self.kappa, self.tau)):  # NaN fails too
-            raise OracleError(f"nu, kappa, tau must be finite and positive, got "
-                              f"{self.nu!r}, {self.kappa!r}, {self.tau!r}")
+            raise OracleError(f"nu, kappa, tau must be finite and positive, got nu={self.nu!r} "
+                              f"(alpha={self.nu + 0.5!r}), kappa={self.kappa!r}, "
+                              f"tau={self.tau!r}")
         try:
             sigma2 = self.sigma2
         except (OverflowError, ZeroDivisionError):
@@ -218,7 +219,7 @@ def tadpole_cov_exact(points, alpha: float, kappa: float, tau: float = 1.0,
     This is exact (no series truncation beyond the exponentially small wrap
     tail) and is what the convergence harness uses as ground truth.
     """
-    p = MaternParams(alpha - 0.5, kappa, 1.0)
+    p = MaternParams(alpha - 0.5, kappa, tau)
     edges = np.array([q.edge for q in points])
     ts = np.array([q.t for q in points])
     n = len(points)
@@ -245,7 +246,7 @@ def tadpole_cov_exact(points, alpha: float, kappa: float, tau: float = 1.0,
         block = (F(1 - t + u) + F(3 - t - u) + F(1 + t + u) + F(3 + t - u)) / 3.0
         cov[np.ix_(tail, loop)] = block
         cov[np.ix_(loop, tail)] = block.T
-    return cov / tau**2
+    return cov
 
 
 # -- generic exact covariance at mesh points ------------------------------------

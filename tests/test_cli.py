@@ -377,11 +377,11 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["simulate", "interval:1", "--alpha", "0.9", "--n", "-1"],
      "the number of samples must be at least 1, got -1"),
     (["oracle", "--graph", "interval", "--alpha", "nan", "--kappa", "1"],
-     "--alpha must be finite and exceed 0.5, got nan"),
+     "nu, kappa, tau must be finite and positive, got nu=nan (alpha=nan), kappa=1.0, tau=1.0"),
     (["oracle", "--graph", "tadpole", "--alpha", "0.3", "--kappa", "1"],
-     "--alpha must be finite and exceed 0.5, got 0.3"),
+     "nu, kappa, tau must be finite and positive, got nu=-0.2 (alpha=0.3), kappa=1.0, tau=1.0"),
     (["oracle", "--graph", "circle", "--alpha", "1.5", "--kappa", "-1"],
-     "--kappa must be finite and exceed 0, got -1.0"),
+     "nu, kappa, tau must be finite and positive, got nu=1.0 (alpha=1.5), kappa=-1.0, tau=1.0"),
     (["varstat", "tadpole", "--alpha", "0.9", "--sigma0", "nan"],
      "sigma0 must be positive and finite, got nan"),
     # Gamma(199.5) overflows; kappa^{2 nu} underflows to 0
@@ -395,6 +395,10 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     (["convergence", "--graph", "interval", "--alphas", "0.3"], "got alpha=0.3, rho=0.5"),
     (["errorgrid", "--graph", "interval", "--rhos", "nan"], "got alpha=0.6, rho=nan"),
     (["errorgrid", "--graph", "star:3"], "no exact covariance oracle for graph 'star:3'"),
+    # tau^2 underflows; the tadpole checks tau through MaternParams, as the interval does
+    (["oracle", "--graph", "tadpole", "--alpha", "1.5", "--kappa", "1", "--tau", "1e-200",
+      "--grid-h", "0.5"],
+     "the marginal variance at nu=1.0, kappa=1.0, tau=1e-200 is not a finite positive float"),
 ])
 def test_input_errors_reported_without_traceback(tmp_path, capsys, argv, message):
     """One error line and exit 2; --h 0.1 and --out are added where the

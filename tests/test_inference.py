@@ -534,7 +534,8 @@ def _cv_by_kept_set(model, obs, radii):
 def test_cv_conditions_on_the_smaller_set(tadpole_model, monkeypatch):
     """Both conditioning routes (the removed ball for small radii, the kept
     set for large ones) match the direct kept-set solve, duplicated
-    locations included; R = 0 factorizes only the one n x n matrix."""
+    locations included; a call factorizes only the one n x n matrix S_y,
+    whatever its radii."""
     import graphfield.inference as inference
 
     obs = random_obs(tadpole_model, 40, 41, replicates=3)
@@ -554,8 +555,33 @@ def test_cv_conditions_on_the_smaller_set(tadpole_model, monkeypatch):
     calls = []
     cho = inference.cho_factor
     monkeypatch.setattr(inference, "cho_factor", lambda *a, **k: calls.append(1) or cho(*a, **k))
-    leave_radius_out_cv(tadpole_model, ObservationSet(obs.points, obs.values, 0.2), [0.0])
+    leave_radius_out_cv(tadpole_model, dup, radii)
     assert len(calls) == 1
+
+
+def test_cv_splits_a_group_into_batches_of_at_most_n_squared(tadpole_model, monkeypatch):
+    """Twelve of 20 observations lie within 0.1 of each other on the tail and
+    the other eight within 0.1 on the loop.  At R = 0.15 the tail's twelve
+    locations condition on the 8 kept observations and the loop's eight on
+    their 8 removed ones; either group's g (8, 8) systems exceed the n^2 =
+    400 entries of P, so each is split into batches of at most 6, and the
+    results match the direct kept-set solve."""
+    rng = np.random.default_rng(43)
+    points = [GraphPoint(0, t) for t in rng.uniform(0.3, 0.4, 12)] + \
+        [GraphPoint(1, t) for t in rng.uniform(0.9, 1.0, 8)]
+    obs = ObservationSet(points, rng.standard_normal((20, 2)), 0.3)
+    radii = (0.0, 0.15)
+    shapes = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+    records = leave_radius_out_cv(tadpole_model, obs, radii)
+    monkeypatch.undo()
+    assert max(g * b * b for g, b, _ in shapes) <= 20 * 20
+    assert sorted(s for s in shapes if s[1] == 8) == [(2, 8, 8)] + [(6, 8, 8)] * 3
+    for got, want in zip(records, _cv_by_kept_set(tadpole_model, obs, radii)):
+        assert got.n_used == want[2] == 20
+        assert got.mse == pytest.approx(want[0], rel=1e-10)
+        assert got.nls == pytest.approx(want[1], rel=1e-10)
 
 
 @pytest.mark.parametrize("radius", [-1.0, float("nan")])

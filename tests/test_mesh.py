@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphfield.graph import GraphPoint, interval_graph, star_graph, tadpole_graph
-from graphfield.mesh import build_mesh
+from graphfield.mesh import _SNAP, build_mesh
+
+from strategies import random_meshes
 
 
 def test_interval_two_segments():
@@ -63,9 +67,56 @@ def test_partition_of_unity_bulk():
 
 
 def test_projector_at_nodes_is_identity():
+    """A node's unit row, from the node itself, from points within _SNAP of
+    it on either side (just outside its edge at an edge end), and from
+    both ends of every edge."""
     mesh = build_mesh(star_graph(4), 0.3)
     A = mesh.basis_matrix(mesh.node_points()).toarray()
     assert np.array_equal(A, np.eye(mesh.N))
+    points, nodes = [], []
+    for i, p in enumerate(mesh.node_points()):
+        d = 0.4 * _SNAP * mesh.edge_meshes[p.edge].h
+        points += [GraphPoint(p.edge, p.t + d), GraphPoint(p.edge, p.t - d)]
+        nodes += [i, i]
+    for e, em in enumerate(mesh.edge_meshes):
+        points += [GraphPoint(e, 0.0), GraphPoint(e, mesh.graph.edges[e].length)]
+        nodes += [mesh.edge_node(e, 0), mesh.edge_node(e, em.n_segments)]
+    assert np.array_equal(mesh.basis_matrix(points).toarray(), np.eye(mesh.N)[nodes])
+
+
+def _basis_by_loop(mesh, points):
+    """Reference projector: the hat weights of one point at a time."""
+    A = np.zeros((len(points), mesh.N))
+    for i, p in enumerate(points):
+        p = mesh.graph.check_point(p)
+        em = mesh.edge_meshes[p.edge]
+        u = p.t / em.h
+        j = min(math.floor(u), em.n_segments - 1)
+        w = u - j
+        if w <= _SNAP:
+            A[i, mesh.edge_node(p.edge, j)] = 1.0
+        elif w >= 1.0 - _SNAP:
+            A[i, mesh.edge_node(p.edge, j + 1)] = 1.0
+        else:
+            A[i, mesh.edge_node(p.edge, j)] = 1.0 - w
+            A[i, mesh.edge_node(p.edge, j + 1)] = w
+    return A
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=random_meshes(), seed=st.integers(0, 2**32 - 1))
+def test_basis_matrix_matches_the_pointwise_loop(mesh, seed):
+    """On random graphs, the vectorized projector equals the pointwise one
+    bit for bit, at random points, at every node and within 2 _SNAP of it."""
+    rng = np.random.default_rng(seed)
+    graph = mesh.graph
+    edges = rng.integers(graph.n_edges, size=40)
+    points = [GraphPoint(int(e), graph.edges[e].length * t)
+              for e, t in zip(edges, rng.uniform(0.0, 1.0, 40))]
+    for p in mesh.node_points():
+        d = rng.uniform(-2.0, 2.0) * _SNAP * mesh.edge_meshes[p.edge].h
+        points += [p, GraphPoint(p.edge, min(max(p.t + d, 0.0), graph.edges[p.edge].length))]
+    assert np.array_equal(mesh.basis_matrix(points).toarray(), _basis_by_loop(mesh, points))
 
 
 def test_refinement_bounds():
